@@ -7,6 +7,18 @@ namespace sps::mem {
 
 using std::size_t;
 
+AccessWindow::AccessWindow(DramChannel &channel, int window,
+                           int max_bypass)
+    : channel_(channel), window_(window), maxBypass_(max_bypass)
+{
+    SPS_ASSERT(window_ >= 1, "bad access window %d", window_);
+    size_t cap = 1;
+    while (cap < static_cast<size_t>(window_))
+        cap <<= 1;
+    ring_.resize(cap);
+    mask_ = cap - 1;
+}
+
 WindowService
 AccessWindow::serviceNext()
 {
@@ -18,27 +30,32 @@ AccessWindow::serviceNext()
     // entry always has the largest bypass count, so checking the head
     // suffices).
     size_t pick = 0;
-    if (win_.front().bypassed < maxBypass_) {
-        for (size_t i = 0; i < win_.size(); ++i) {
-            if (channel_.isRowHit(win_[i].req)) {
+    if (at(0).bypassed < maxBypass_) {
+        for (size_t i = 0; i < size_; ++i) {
+            if (channel_.isRowHit(at(i).addr)) {
                 pick = i;
                 break;
             }
         }
     }
-    for (size_t i = 0; i < pick; ++i)
-        ++win_[i].bypassed;
 
-    Entry e = win_[pick];
+    const Entry e = at(pick);
     WindowService s;
     s.tag = e.tag;
     s.pickIndex = static_cast<int64_t>(pick);
     s.bypassed = e.bypassed;
-    s.rowHit = channel_.isRowHit(e.req);
-    s.bankConflict = !s.rowHit && channel_.isBankOpen(e.req);
-    s.cycles = channel_.service(e.req);
-    win_.erase(win_.begin() +
-               static_cast<std::deque<Entry>::difference_type>(pick));
+    s.rowHit = channel_.isRowHit(e.addr);
+    s.bankConflict = !s.rowHit && channel_.isBankOpen(e.addr);
+    s.cycles = channel_.service(e.addr);
+
+    // Remove the pick: every older entry was bypassed once more and
+    // moves one slot back, then the head slot is dropped.
+    for (size_t i = pick; i > 0; --i) {
+        at(i) = at(i - 1);
+        ++at(i).bypassed;
+    }
+    head_ = (head_ + 1) & mask_;
+    --size_;
     return s;
 }
 

@@ -17,9 +17,9 @@
 #define SPS_MEM_ACCESS_SCHED_H
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
+#include "common/log.h"
 #include "mem/dram.h"
 
 namespace sps::mem {
@@ -55,28 +55,33 @@ struct WindowService
  * bookkeeping. The age cap forces the oldest request once it has been
  * bypassed maxBypass times, so a row-hit flood cannot starve an old
  * miss indefinitely.
+ *
+ * Each request's bank and row are decoded once, at push. Entries live
+ * in a ring buffer sized at construction to hold the whole window, so
+ * push and serviceNext never allocate and removing the usual pick
+ * (the oldest entry) is O(1).
  */
 class AccessWindow
 {
   public:
     AccessWindow(DramChannel &channel, int window = kSchedWindow,
-                 int max_bypass = kSchedMaxBypass)
-        : channel_(channel), window_(window), maxBypass_(max_bypass)
-    {}
+                 int max_bypass = kSchedMaxBypass);
 
     /** True while the window has room for more arrivals. */
     bool wantsMore() const
     {
-        return static_cast<int>(win_.size()) < window_;
+        return size_ < static_cast<size_t>(window_);
     }
 
-    bool empty() const { return win_.empty(); }
-    size_t size() const { return win_.size(); }
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
 
-    /** Add a request at the back (arrival order). */
+    /** Add a request at the back (arrival order); the window must
+     *  want more. */
     void push(const MemRequest &req, int tag)
     {
-        win_.push_back(Entry{req, tag, 0});
+        SPS_ASSERT(wantsMore(), "push into a full access window");
+        at(size_++) = Entry{channel_.decode(req.wordAddr), tag, 0};
     }
 
     /** Service the scheduled pick; the window must be non-empty. */
@@ -85,12 +90,18 @@ class AccessWindow
   private:
     struct Entry
     {
-        MemRequest req;
+        DramAddr addr;
         int tag = 0;
         int64_t bypassed = 0;
     };
+    /** The i-th oldest entry. */
+    Entry &at(size_t i) { return ring_[(head_ + i) & mask_]; }
+
     DramChannel &channel_;
-    std::deque<Entry> win_;
+    std::vector<Entry> ring_; ///< power-of-two size >= window
+    size_t mask_ = 0;
+    size_t head_ = 0;
+    size_t size_ = 0;
     int window_;
     int maxBypass_;
 };

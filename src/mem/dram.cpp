@@ -14,42 +14,23 @@ DramChannel::DramChannel(DramTiming timing) : timing_(timing)
 int
 DramChannel::bankOf(int64_t word_addr) const
 {
-    // Banks are interleaved at row granularity so sequential streams
-    // walk banks round-robin, letting activates overlap.
-    return static_cast<int>((word_addr / timing_.rowWords) %
-                            timing_.banks);
+    return decode(word_addr).bank;
 }
 
 int64_t
 DramChannel::rowOf(int64_t word_addr) const
 {
-    return word_addr / (static_cast<int64_t>(timing_.rowWords) *
-                        timing_.banks);
-}
-
-bool
-DramChannel::isRowHit(const MemRequest &req) const
-{
-    int bank = bankOf(req.wordAddr);
-    return openRow_[static_cast<size_t>(bank)] == rowOf(req.wordAddr);
-}
-
-bool
-DramChannel::isBankOpen(const MemRequest &req) const
-{
-    return openRow_[static_cast<size_t>(bankOf(req.wordAddr))] >= 0;
+    return decode(word_addr).row;
 }
 
 int
-DramChannel::service(const MemRequest &req)
+DramChannel::service(const DramAddr &a)
 {
-    int bank = bankOf(req.wordAddr);
-    int64_t row = rowOf(req.wordAddr);
-    auto &open = openRow_[static_cast<size_t>(bank)];
+    auto &open = openRow_[static_cast<size_t>(a.bank)];
     int cycles = timing_.tCol;
-    if (open != row) {
+    if (open != a.row) {
         cycles += (open >= 0 ? timing_.tPre : 0) + timing_.tRas;
-        open = row;
+        open = a.row;
         ++rowMisses_;
     } else {
         ++rowHits_;

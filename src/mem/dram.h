@@ -8,6 +8,7 @@
 #ifndef SPS_MEM_DRAM_H
 #define SPS_MEM_DRAM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,13 @@ struct MemRequest
     bool write = false;
 };
 
+/** A word address decoded into the bank it maps to and its row. */
+struct DramAddr
+{
+    int bank = 0;
+    int64_t row = 0;
+};
+
 /**
  * One DRAM channel: tracks open rows per bank and charges timing for
  * a request stream presented in service order. Counts row hits and
@@ -50,19 +58,49 @@ class DramChannel
     int bankOf(int64_t word_addr) const;
     int64_t rowOf(int64_t word_addr) const;
 
-    /** True if the request hits the currently open row of its bank. */
-    bool isRowHit(const MemRequest &req) const;
+    /**
+     * bankOf and rowOf together. Banks are interleaved at row
+     * granularity, so sequential streams walk banks round-robin and
+     * their activates overlap.
+     */
+    DramAddr decode(int64_t word_addr) const
+    {
+        int64_t row_index = word_addr / timing_.rowWords;
+        return DramAddr{static_cast<int>(row_index % timing_.banks),
+                        row_index / timing_.banks};
+    }
 
-    /** True if the request's bank has any row open (a miss here is a
+    /** True if the address hits the currently open row of its bank. */
+    bool isRowHit(const DramAddr &a) const
+    {
+        return openRow_[static_cast<size_t>(a.bank)] == a.row;
+    }
+    bool isRowHit(const MemRequest &req) const
+    {
+        return isRowHit(decode(req.wordAddr));
+    }
+
+    /** True if the address's bank has any row open (a miss here is a
      *  bank conflict: the open row must be precharged first). */
-    bool isBankOpen(const MemRequest &req) const;
+    bool isBankOpen(const DramAddr &a) const
+    {
+        return openRow_[static_cast<size_t>(a.bank)] >= 0;
+    }
+    bool isBankOpen(const MemRequest &req) const
+    {
+        return isBankOpen(decode(req.wordAddr));
+    }
 
     /**
      * Service one request now; returns the cycles the channel's data
      * pins are busy (row hits cost tCol; misses add precharge and
      * activate time).
      */
-    int service(const MemRequest &req);
+    int service(const DramAddr &a);
+    int service(const MemRequest &req)
+    {
+        return service(decode(req.wordAddr));
+    }
 
     /** Requests serviced that hit an open row. */
     int64_t rowHits() const { return rowHits_; }

@@ -39,11 +39,15 @@ StreamMemSystem::beginProgram()
     SPS_ASSERT(pending_.empty(),
                "beginProgram with unresolved transfers");
     ch_.clear();
+    win_.clear();
     chStats_.clear();
     for (int c = 0; c < cfg_.channels; ++c) {
         ch_.push_back(Channel{DramChannel(cfg_.timing), 0});
         chStats_.push_back(ChannelStats{});
     }
+    for (Channel &chan : ch_)
+        win_.emplace_back(chan.dram, cfg_.schedWindow,
+                          cfg_.schedMaxBypass);
     results_.clear();
     busyIvs_.clear();
 }
@@ -109,60 +113,81 @@ StreamMemSystem::resolveAll()
     if (pending_.empty())
         return;
     const int C = cfg_.channels;
+    const auto nc = static_cast<size_t>(C);
     const size_t nt = pending_.size();
     constexpr int64_t kFar = std::numeric_limits<int64_t>::max();
+    BatchScratch &sc = scratch_;
 
     // --- Address generation: expand each transfer (capped at the
     // simulation prefix) and assign requests to channels by word
     // address. Channel-local addresses (wordAddr / channels) are what
     // the per-channel DRAM geometry sees, the classic interleaved
-    // decomposition. Requests stay in per-transfer queues so the
-    // service loop can interleave concurrent transfers.
-    std::vector<std::vector<std::vector<MemRequest>>> chq(
-        static_cast<size_t>(C),
-        std::vector<std::vector<MemRequest>>(nt));
-    std::vector<double> factor(nt, 1.0);
-    std::vector<int64_t> simWords(nt, 0);
+    // decomposition. Each channel's requests stay grouped by transfer
+    // so the service loop can interleave concurrent transfers.
+    sc.requests.resize(nc);
+    for (auto &q : sc.requests)
+        q.clear();
+    sc.runBegin.assign(nc * (nt + 1), 0);
+    sc.factor.assign(nt, 1.0);
     for (size_t t = 0; t < nt; ++t) {
         const TransferDesc &d = pending_[t].desc;
         int64_t sim = std::min(d.words, kSimCap);
-        simWords[t] = sim;
-        factor[t] = sim > 0 ? static_cast<double>(d.words) /
-                                  static_cast<double>(sim)
-                            : 1.0;
+        sc.factor[t] = sim > 0 ? static_cast<double>(d.words) /
+                                     static_cast<double>(sim)
+                               : 1.0;
+        for (size_t c = 0; c < nc; ++c)
+            sc.runBegin[c * (nt + 1) + t] = sc.requests[c].size();
+        // Word i sits at base + (i / rec) * stride + i % rec. A cursor
+        // walks it as (channel-local address, channel) pairs: +1 word
+        // within a record, +stride from one record start to the next.
         int64_t rec = std::max<int64_t>(1, d.recordWords);
         int64_t stride = d.strideWords > 0 ? d.strideWords : rec;
+        const int64_t stride_q = stride / C, stride_r = stride % C;
+        int64_t rec_q = d.baseWord / C, rec_r = d.baseWord % C;
+        int64_t q = rec_q, r = rec_r, off = 0;
         for (int64_t i = 0; i < sim; ++i) {
-            int64_t addr = d.baseWord + (i / rec) * stride + i % rec;
-            auto ch = static_cast<size_t>(addr % C);
-            chq[ch][t].push_back(MemRequest{addr / C, d.write});
+            sc.requests[static_cast<size_t>(r)].push_back(
+                MemRequest{q, d.write});
+            if (++off == rec) {
+                off = 0;
+                rec_q += stride_q;
+                rec_r += stride_r;
+                if (rec_r >= C) {
+                    rec_r -= C;
+                    ++rec_q;
+                }
+                q = rec_q;
+                r = rec_r;
+            } else if (++r == C) {
+                r = 0;
+                ++q;
+            }
         }
     }
+    for (size_t c = 0; c < nc; ++c)
+        sc.runBegin[c * (nt + 1) + nt] = sc.requests[c].size();
 
     // --- Joint service: one FR-FCFS window per channel over all
     // transfers in the batch.
-    std::vector<std::vector<int64_t>> busyTC(
-        nt, std::vector<int64_t>(static_cast<size_t>(C), 0));
-    std::vector<std::vector<int64_t>> lastEndTC(
-        nt, std::vector<int64_t>(static_cast<size_t>(C), -1));
-    std::vector<std::vector<int64_t>> doneTC = lastEndTC;
-    std::vector<int64_t> svcStart(nt, kFar);
-    std::vector<int64_t> simHits(nt, 0), simConflicts(nt, 0),
-        simReorderSum(nt, 0);
+    sc.busy.assign(nt * nc, 0);
+    sc.lastEnd.assign(nt * nc, -1);
+    sc.done.assign(nt * nc, -1);
+    sc.svcStart.assign(nt, kFar);
+    sc.hits.assign(nt, 0);
+    sc.conflicts.assign(nt, 0);
+    sc.reorderSum.assign(nt, 0);
 
-    for (size_t c = 0; c < static_cast<size_t>(C); ++c) {
-        auto &q = chq[c];
-        size_t remaining = 0;
-        for (const auto &tq : q)
-            remaining += tq.size();
+    for (size_t c = 0; c < nc; ++c) {
+        const std::vector<MemRequest> &q = sc.requests[c];
+        const size_t *run = &sc.runBegin[c * (nt + 1)];
+        size_t remaining = q.size();
         if (remaining == 0)
             continue;
         Channel &chan = ch_[c];
         ChannelStats &cs = chStats_[c];
-        AccessWindow window(chan.dram, cfg_.schedWindow,
-                            cfg_.schedMaxBypass);
+        AccessWindow &window = win_[c];
         int64_t now = chan.freeCycle;
-        std::vector<size_t> next(nt, 0);
+        sc.next.assign(run, run + nt);
         size_t rr = 0; // round-robin admission cursor
         int64_t runStart = -1;
         auto close_run = [&] {
@@ -180,9 +205,9 @@ StreamMemSystem::resolveAll()
                 admitted = false;
                 for (size_t k = 0; k < nt; ++k) {
                     size_t t = (rr + k) % nt;
-                    if (next[t] < q[t].size() &&
+                    if (sc.next[t] < run[t + 1] &&
                         pending_[t].desc.startCycle <= now) {
-                        window.push(q[t][next[t]++],
+                        window.push(q[sc.next[t]++],
                                     static_cast<int>(t));
                         --remaining;
                         rr = (t + 1) % nt;
@@ -195,7 +220,7 @@ StreamMemSystem::resolveAll()
                 // Idle until the next transfer becomes ready.
                 int64_t nxt = kFar;
                 for (size_t t = 0; t < nt; ++t)
-                    if (next[t] < q[t].size())
+                    if (sc.next[t] < run[t + 1])
                         nxt = std::min(nxt,
                                        pending_[t].desc.startCycle);
                 close_run();
@@ -206,13 +231,13 @@ StreamMemSystem::resolveAll()
                 runStart = now;
             WindowService s = window.serviceNext();
             auto t = static_cast<size_t>(s.tag);
-            svcStart[t] = std::min(svcStart[t], now);
+            sc.svcStart[t] = std::min(sc.svcStart[t], now);
             now += s.cycles;
-            busyTC[t][c] += s.cycles;
-            lastEndTC[t][c] = now;
-            simHits[t] += s.rowHit ? 1 : 0;
-            simConflicts[t] += s.bankConflict ? 1 : 0;
-            simReorderSum[t] += s.pickIndex;
+            sc.busy[t * nc + c] += s.cycles;
+            sc.lastEnd[t * nc + c] = now;
+            sc.hits[t] += s.rowHit ? 1 : 0;
+            sc.conflicts[t] += s.bankConflict ? 1 : 0;
+            sc.reorderSum[t] += s.pickIndex;
             TransferResult &r =
                 results_[static_cast<size_t>(pending_[t].ticket)];
             r.dramReorderMax =
@@ -228,30 +253,25 @@ StreamMemSystem::resolveAll()
         // simulated pin time, so later service on this channel (and
         // the channel's free cursor) shifts by the accumulated extra,
         // ordered by when each transfer's prefix finished.
-        struct Stretch
-        {
-            size_t t;
-            int64_t lastEnd;
-            int64_t extra;
-        };
-        std::vector<Stretch> st;
+        sc.stretch.clear();
         int64_t total_extra = 0;
         for (size_t t = 0; t < nt; ++t) {
-            if (lastEndTC[t][c] < 0)
+            if (sc.lastEnd[t * nc + c] < 0)
                 continue;
             int64_t extra =
-                scaleCount(busyTC[t][c], factor[t] - 1.0);
-            st.push_back(Stretch{t, lastEndTC[t][c], extra});
+                scaleCount(sc.busy[t * nc + c], sc.factor[t] - 1.0);
+            sc.stretch.push_back(
+                Stretch{t, sc.lastEnd[t * nc + c], extra});
             total_extra += extra;
         }
-        std::stable_sort(st.begin(), st.end(),
+        std::stable_sort(sc.stretch.begin(), sc.stretch.end(),
                          [](const Stretch &a, const Stretch &b) {
                              return a.lastEnd < b.lastEnd;
                          });
         int64_t prefix = 0;
-        for (const Stretch &s : st) {
+        for (const Stretch &s : sc.stretch) {
             prefix += s.extra;
-            doneTC[s.t][c] = s.lastEnd + prefix;
+            sc.done[s.t * nc + c] = s.lastEnd + prefix;
         }
         if (total_extra > 0) {
             chan.freeCycle = now + total_extra;
@@ -275,17 +295,17 @@ StreamMemSystem::resolveAll()
             r.doneCycle = d.startCycle;
             continue;
         }
-        double f = factor[t];
+        double f = sc.factor[t];
         int64_t busy_total = 0, busy_max = 0, done = d.startCycle;
-        for (size_t c = 0; c < static_cast<size_t>(C); ++c) {
-            int64_t true_busy = scaleCount(busyTC[t][c], f);
+        for (size_t c = 0; c < nc; ++c) {
+            int64_t true_busy = scaleCount(sc.busy[t * nc + c], f);
             busy_total += true_busy;
             busy_max = std::max(busy_max, true_busy);
-            if (doneTC[t][c] >= 0)
-                done = std::max(done, doneTC[t][c]);
+            if (sc.done[t * nc + c] >= 0)
+                done = std::max(done, sc.done[t * nc + c]);
         }
-        r.serviceStart = svcStart[t] == kFar ? d.startCycle
-                                             : svcStart[t];
+        r.serviceStart = sc.svcStart[t] == kFar ? d.startCycle
+                                                : sc.svcStart[t];
         r.doneCycle = done + cfg_.latencyCycles;
         r.cycles = r.doneCycle - r.startCycle;
         r.busyCycles = busy_max;
@@ -293,12 +313,12 @@ StreamMemSystem::resolveAll()
         // Counters: exact identities under extrapolation
         // (hits + misses == accesses == words).
         r.dramAccesses = d.words;
-        r.dramRowHits = std::clamp<int64_t>(scaleCount(simHits[t], f),
+        r.dramRowHits = std::clamp<int64_t>(scaleCount(sc.hits[t], f),
                                             0, d.words);
         r.dramRowMisses = d.words - r.dramRowHits;
         r.bankConflicts = std::clamp<int64_t>(
-            scaleCount(simConflicts[t], f), 0, r.dramRowMisses);
-        r.dramReorderSum = scaleCount(simReorderSum[t], f);
+            scaleCount(sc.conflicts[t], f), 0, r.dramRowMisses);
+        r.dramReorderSum = scaleCount(sc.reorderSum[t], f);
         r.wordsPerCycle =
             r.cycles > 0 ? static_cast<double>(d.words) /
                                static_cast<double>(r.cycles)

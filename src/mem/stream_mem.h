@@ -146,6 +146,13 @@ class StreamMemSystem
   public:
     explicit StreamMemSystem(StreamMemConfig cfg = StreamMemConfig{});
 
+    // The windows refer to the channels, so a copy would service its
+    // original's channels. A move keeps both heap buffers in place.
+    StreamMemSystem(const StreamMemSystem &) = delete;
+    StreamMemSystem &operator=(const StreamMemSystem &) = delete;
+    StreamMemSystem(StreamMemSystem &&) = default;
+    StreamMemSystem &operator=(StreamMemSystem &&) = default;
+
     const StreamMemConfig &config() const { return cfg_; }
 
     /** Reset channel state (rows closed, busy cursors and per-channel
@@ -211,13 +218,46 @@ class StreamMemSystem
         bool traced = false;
         int ticket = 0;
     };
+    /** One transfer's extrapolation stretch on one channel. */
+    struct Stretch
+    {
+        size_t t;
+        int64_t lastEnd;
+        int64_t extra;
+    };
+    /**
+     * resolveAll's working storage, kept across batches so a batch
+     * allocates nothing once the buffers have grown. A transfer
+     * contributes at most kSimCap requests, so the request buffers are
+     * bounded by kSimCap words per transfer of the largest batch.
+     * Per-(transfer, channel) arrays are indexed t * channels + c.
+     */
+    struct BatchScratch
+    {
+        /** Per channel: the batch's requests, grouped by transfer. */
+        std::vector<std::vector<MemRequest>> requests;
+        /** [c * (nt + 1) + t]: where transfer t's requests start in
+         *  requests[c]; entry nt is the end of the last one. */
+        std::vector<size_t> runBegin;
+        /** Per transfer: its next unadmitted request on the channel
+         *  being serviced. */
+        std::vector<size_t> next;
+        std::vector<double> factor;
+        std::vector<int64_t> busy, lastEnd, done;
+        std::vector<int64_t> svcStart, hits, conflicts, reorderSum;
+        std::vector<Stretch> stretch;
+    };
 
     StreamMemConfig cfg_;
     std::vector<Channel> ch_;
+    /** One FR-FCFS window per channel, over ch_[c].dram; rebuilt with
+     *  the channels in beginProgram(). */
+    std::vector<AccessWindow> win_;
     std::vector<ChannelStats> chStats_;
     std::vector<Pending> pending_;
     std::vector<TransferResult> results_;
     std::vector<BusyInterval> busyIvs_;
+    BatchScratch scratch_;
 };
 
 } // namespace sps::mem

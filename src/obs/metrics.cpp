@@ -157,14 +157,16 @@ MetricsRegistry::snapshot() const
             m.value = e->g->value();
             break;
         case MetricKind::Histogram: {
-            // Buckets first, then count/sum: each atomic is read
-            // once, and a racing observe() can only make count/sum
-            // run *ahead* of the bucket total, never behind, so
-            // sum-of-buckets <= count holds in every snapshot.
+            // Buckets first (acquire), then count/sum: observe()
+            // bumps the count before its release on the bucket, so
+            // every bucket increment seen here brings its count
+            // increment with it. A racing observe() can only make
+            // count/sum run *ahead* of the bucket total, never behind,
+            // so sum-of-buckets <= count holds in every snapshot.
             m.buckets.resize(Histogram::kBuckets);
             for (int i = 0; i < Histogram::kBuckets; ++i)
                 m.buckets[static_cast<size_t>(i)] =
-                    e->h->buckets_[i].load(std::memory_order_relaxed);
+                    e->h->buckets_[i].load(std::memory_order_acquire);
             m.count = e->h->count();
             m.sum = e->h->sum();
             break;
@@ -255,7 +257,11 @@ renderPrometheus(const MetricsSnapshot &snap)
             std::string le;
             if (i + 1 == m.buckets.size()) {
                 le = "le=\"+Inf\"";
-                cum = m.count; // fold any in-flight count drift
+                // +Inf must equal _count. Under load the count may
+                // run ahead of the buckets (never behind), so the
+                // fold only raises the last bucket and keeps the
+                // series monotone.
+                cum = m.count;
             } else {
                 char buf[40];
                 std::snprintf(

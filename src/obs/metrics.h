@@ -17,7 +17,7 @@
  *               count and sum, and p50/p95/p99 extraction from the
  *               bucket boundaries.
  *
- * Cost model: the hot path is one relaxed atomic fetch_add (Counter,
+ * Cost model: the hot path is one atomic fetch_add (Counter,
  * Histogram bucket+count+sum) or store (Gauge) on a pre-resolved
  * handle -- registration resolves the name once, recording never
  * touches the registry lock, a map, or a string. snapshot() is the
@@ -29,7 +29,12 @@
  * once, so per-metric values are exact, and cross-metric invariants
  * that hold monotonically (e.g. requests_total >= sum of per-tier
  * outcomes, histogram count >= completed observations) hold in every
- * snapshot; exact conservation holds in any quiescent snapshot.
+ * snapshot; exact conservation holds in any quiescent snapshot. The
+ * monotone invariants rest on write and read order: the writer bumps
+ * the bounding atomic first and the bounded one with a release; the
+ * snapshot reads the bounded one first, with an acquire. Counters
+ * registered earlier are read earlier, and a histogram's buckets are
+ * read before its count.
  *
  * Exposition: renderPrometheus() emits the Prometheus text format
  * (counters/gauges as plain samples, histograms as cumulative
@@ -56,13 +61,16 @@ namespace sps::obs {
 class Counter
 {
   public:
+    // Release/acquire, so an ordering between two counters' increments
+    // survives into a snapshot that reads the later one first (see the
+    // file comment); on x86 both cost the same as relaxed.
     void
     inc(uint64_t n = 1)
     {
-        v_.fetch_add(n, std::memory_order_relaxed);
+        v_.fetch_add(n, std::memory_order_release);
     }
 
-    uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+    uint64_t value() const { return v_.load(std::memory_order_acquire); }
 
   private:
     std::atomic<uint64_t> v_{0};
@@ -92,7 +100,7 @@ class Gauge
  * upperBound(i-1) < v <= upperBound(i), where upperBound(i) =
  * 2^(i+1) - 2 for i < kBuckets-1 (bucket 0 is exactly {0}) and +inf
  * for the last bucket; count and sum are exact. observe() is three
- * relaxed fetch_adds.
+ * fetch_adds: count and sum relaxed, then the bucket with a release.
  */
 class Histogram
 {
@@ -102,10 +110,14 @@ class Histogram
     void
     observe(uint64_t v)
     {
-        buckets_[bucketIndex(v)].fetch_add(1,
-                                           std::memory_order_relaxed);
+        // Count before bucket, and the bucket add a release: a
+        // snapshot whose acquire load sees this bucket increment then
+        // also sees the count increment, so sum(buckets) <= count
+        // holds in every snapshot, on any memory model.
         count_.fetch_add(1, std::memory_order_relaxed);
         sum_.fetch_add(v, std::memory_order_relaxed);
+        buckets_[bucketIndex(v)].fetch_add(1,
+                                           std::memory_order_release);
     }
 
     /** Index of the bucket v falls into: floor(log2(v+1)) capped. */

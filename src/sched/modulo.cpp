@@ -1,7 +1,7 @@
 #include "sched/modulo.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <set>
 
 #include "common/log.h"
@@ -44,17 +44,19 @@ heights(const DepGraph &g, int ii)
     return h;
 }
 
-/** Modulo reservation table for one candidate II. */
+/**
+ * Modulo reservation table for one candidate II: per FU class, the
+ * nodes occupying each of the II columns. fits() and conflicts()
+ * allocate nothing per call; they count a node's columns directly.
+ */
 class Mrt
 {
   public:
     Mrt(const MachineModel &m, int ii) : ii_(ii)
     {
-        for (FuClass cls :
-             {FuClass::Adder, FuClass::Multiplier, FuClass::Dsq,
-              FuClass::Scratchpad, FuClass::Comm, FuClass::SbPort}) {
-            units_[cls] = m.unitCount(cls);
-            table_[cls].assign(static_cast<size_t>(ii), {});
+        for (size_t c = 0; c < kClasses; ++c) {
+            units_[c] = m.unitCount(static_cast<FuClass>(c));
+            table_[c].assign(static_cast<size_t>(ii), {});
         }
     }
 
@@ -68,14 +70,12 @@ class Mrt
     bool
     fits(const DepNode &n, int t) const
     {
-        const auto &rows = table_.at(n.cls);
-        int units = units_.at(n.cls);
-        std::map<int, int> extra;
-        for (int j = 0; j < occupancy(n); ++j)
-            ++extra[(t + j) % ii_];
-        for (const auto &[col, cnt] : extra) {
-            if (static_cast<int>(rows[static_cast<size_t>(col)].size()) +
-                    cnt > units)
+        const auto &rows = table_[classIndex(n.cls)];
+        const int units = units_[classIndex(n.cls)];
+        ColumnSpan span(occupancy(n), t, ii_);
+        for (int j = 0; j < span.columns; ++j) {
+            const auto &col = rows[static_cast<size_t>(span.column(j))];
+            if (static_cast<int>(col.size()) + span.count(j) > units)
                 return false;
         }
         return true;
@@ -84,7 +84,7 @@ class Mrt
     void
     place(int node, const DepNode &n, int t)
     {
-        auto &rows = table_[n.cls];
+        auto &rows = table_[classIndex(n.cls)];
         for (int j = 0; j < occupancy(n); ++j)
             rows[static_cast<size_t>((t + j) % ii_)].push_back(node);
     }
@@ -92,7 +92,7 @@ class Mrt
     void
     remove(int node, const DepNode &n, int t)
     {
-        auto &rows = table_[n.cls];
+        auto &rows = table_[classIndex(n.cls)];
         for (int j = 0; j < occupancy(n); ++j) {
             auto &col = rows[static_cast<size_t>((t + j) % ii_)];
             auto it = std::find(col.begin(), col.end(), node);
@@ -102,39 +102,72 @@ class Mrt
     }
 
     /**
-     * Nodes that must be evicted so `n` can be placed at t. Lower-
-     * priority occupants are preferred.
+     * Nodes that must be evicted so `n` can be placed at t, in
+     * ascending id order (into *out). Lower-priority occupants are
+     * preferred.
      */
-    std::vector<int>
-    conflicts(const DepNode &n, int t,
-              const std::vector<int64_t> &prio) const
+    void
+    conflicts(const DepNode &n, int t, const std::vector<int64_t> &prio,
+              std::vector<int> *out)
     {
-        std::set<int> out;
-        const auto &rows = table_.at(n.cls);
-        int units = units_.at(n.cls);
-        std::map<int, int> extra;
-        for (int j = 0; j < occupancy(n); ++j)
-            ++extra[(t + j) % ii_];
-        for (const auto &[col, cnt] : extra) {
-            const auto &occupants = rows[static_cast<size_t>(col)];
-            int over = static_cast<int>(occupants.size()) + cnt - units;
+        out->clear();
+        const auto &rows = table_[classIndex(n.cls)];
+        const int units = units_[classIndex(n.cls)];
+        ColumnSpan span(occupancy(n), t, ii_);
+        for (int j = 0; j < span.columns; ++j) {
+            const auto &occupants =
+                rows[static_cast<size_t>(span.column(j))];
+            int over =
+                static_cast<int>(occupants.size()) + span.count(j) - units;
             if (over <= 0)
                 continue;
             // Evict the lowest-priority occupants of this column.
-            std::vector<int> sorted(occupants.begin(), occupants.end());
-            std::sort(sorted.begin(), sorted.end(),
+            sorted_.assign(occupants.begin(), occupants.end());
+            std::sort(sorted_.begin(), sorted_.end(),
                       [&](int a, int b) { return prio[a] < prio[b]; });
             for (int i = 0; i < over && i < static_cast<int>(
-                                              sorted.size()); ++i)
-                out.insert(sorted[static_cast<size_t>(i)]);
+                                              sorted_.size()); ++i)
+                out->push_back(sorted_[static_cast<size_t>(i)]);
         }
-        return {out.begin(), out.end()};
+        std::sort(out->begin(), out->end());
+        out->erase(std::unique(out->begin(), out->end()), out->end());
     }
 
   private:
+    /** The FU classes that own issue slots (every class but None). */
+    static constexpr size_t kClasses = static_cast<size_t>(FuClass::None);
+
+    static size_t
+    classIndex(FuClass cls)
+    {
+        SPS_ASSERT(cls != FuClass::None, "MRT lookup of class None");
+        return static_cast<size_t>(cls);
+    }
+
+    /**
+     * The columns an `occupancy`-cycle node issued at t covers: every
+     * column occupancy / ii times, plus once more for the remaining
+     * occupancy % ii columns starting at t's column.
+     */
+    struct ColumnSpan
+    {
+        ColumnSpan(int occupancy, int t, int ii)
+            : ii(ii), first(t % ii), full(occupancy / ii),
+              rem(occupancy % ii), columns(full > 0 ? ii : rem)
+        {}
+        /** The j-th covered column, j < columns. */
+        int column(int j) const { return (first + j) % ii; }
+        /** How many of the node's cycles land on column(j). */
+        int count(int j) const { return full + (j < rem ? 1 : 0); }
+
+        int ii, first, full, rem, columns;
+    };
+
     int ii_;
-    std::map<FuClass, int> units_;
-    std::map<FuClass, std::vector<std::vector<int>>> table_;
+    std::array<int, kClasses> units_{};
+    std::array<std::vector<std::vector<int>>, kClasses> table_;
+    /** conflicts()' working copy of one column's occupants. */
+    std::vector<int> sorted_;
 };
 
 bool
@@ -156,6 +189,7 @@ tryIms(const DepGraph &g, const MachineModel &m, int ii,
     std::vector<int> prev_time(static_cast<size_t>(n), -1);
     std::vector<bool> scheduled(static_cast<size_t>(n), false);
     Mrt mrt(m, ii);
+    std::vector<int> evict;
 
     // Worklist ordered by (priority desc, id asc).
     auto cmp = [&](int a, int b) {
@@ -200,7 +234,8 @@ tryIms(const DepGraph &g, const MachineModel &m, int ii,
             slot = static_cast<int>(estart);
 
         // Evict resource conflicts.
-        for (int w : mrt.conflicts(g.nodes[v], slot, prio)) {
+        mrt.conflicts(g.nodes[v], slot, prio, &evict);
+        for (int w : evict) {
             mrt.remove(w, g.nodes[w], time[w]);
             scheduled[w] = false;
             work.insert(w);

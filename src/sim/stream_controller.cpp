@@ -135,6 +135,20 @@ executeProgram(const stream::StreamProgram &prog,
     };
     std::vector<PendingMemOp> pending_mem;
     std::vector<mem::BusyInterval> uc_busy_ivs;
+    // Each distinct kernel is looked up once per run: a program calls
+    // its few kernels hundreds of times, and every lookup fingerprints
+    // the whole kernel graph to key the schedule cache.
+    std::vector<std::pair<const kernel::Kernel *,
+                          const sched::CompiledKernel *>>
+        compiled;
+    auto compiled_for = [&](const kernel::Kernel &k)
+        -> const sched::CompiledKernel & {
+        for (const auto &[kp, ck] : compiled)
+            if (kp == &k)
+                return *ck;
+        compiled.emplace_back(&k, &compile(k));
+        return *compiled.back().second;
+    };
 
     int64_t issue_time = 0;
     int64_t uc_free = 0;
@@ -310,7 +324,7 @@ executeProgram(const stream::StreamProgram &prog,
                 ensure_resident(s, ready);
             for (int s : deps.reads[i])
                 ensure_resident(s, ready);
-            const sched::CompiledKernel &ck = compile(*op.k);
+            const sched::CompiledKernel &ck = compiled_for(*op.k);
             int64_t start = std::max(ready, uc_free);
             ctr.ucPipeStallCycles += start - ready;
             Microcontroller::CallTiming t = uc.call(

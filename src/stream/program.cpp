@@ -1,5 +1,8 @@
 #include "stream/program.h"
 
+#include <utility>
+#include <vector>
+
 #include "common/fnv.h"
 #include "common/log.h"
 #include "kernel/fingerprint.h"
@@ -147,6 +150,19 @@ StreamProgram::totalKernelRecords() const
 uint64_t
 programFingerprint(const StreamProgram &p)
 {
+    // Each distinct kernel is fingerprinted once: a program calls its
+    // few kernels hundreds of times.
+    std::vector<std::pair<const kernel::Kernel *, uint64_t>> kernel_fps;
+    auto kernel_fp = [&](const kernel::Kernel *k) -> uint64_t {
+        if (k == nullptr)
+            return 0;
+        for (const auto &[kp, fp] : kernel_fps)
+            if (kp == k)
+                return fp;
+        kernel_fps.emplace_back(k, kernel::fingerprint(*k));
+        return kernel_fps.back().second;
+    };
+
     Fnv f;
     f.mix(p.name());
     f.mix(static_cast<uint64_t>(p.streams().size()));
@@ -163,7 +179,7 @@ programFingerprint(const StreamProgram &p)
     for (const StreamOp &op : p.ops()) {
         f.mix(static_cast<uint64_t>(op.kind));
         f.mix(static_cast<uint64_t>(op.stream));
-        f.mix(op.k ? kernel::fingerprint(*op.k) : 0);
+        f.mix(kernel_fp(op.k));
         f.mix(static_cast<uint64_t>(op.args.size()));
         for (int a : op.args)
             f.mix(static_cast<uint64_t>(a));

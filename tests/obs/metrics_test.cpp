@@ -335,5 +335,85 @@ TEST(MetricsConcurrencyTest, SnapshotUnderLoadIsConsistent)
     EXPECT_EQ(m->sum, kThreads * per_thread_sum);
 }
 
+TEST(MetricsConcurrencyTest, LongSnapshotStressStaysConsistent)
+{
+    // The stress variant of SnapshotUnderLoadIsConsistent: more
+    // writers, ten times the observations spread over every bucket,
+    // and snapshots taken back to back for as long as the writers
+    // run. Each snapshot must keep the same bounds, and its Prometheus
+    // rendering must stay a valid cumulative series: non-decreasing
+    // le buckets ending in +Inf == _count.
+    MetricsRegistry reg;
+    Counter *done = reg.counter("sps_done_total");
+    Counter *started = reg.counter("sps_started_total");
+    Histogram *lat = reg.histogram("sps_lat_us");
+
+    constexpr int kThreads = 6;
+    constexpr uint64_t kPerThread = 200000;
+    std::atomic<bool> go{false};
+    std::atomic<int> running{kThreads};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+        writers.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (uint64_t i = 0; i < kPerThread; ++i) {
+                started->inc();
+                lat->observe((i * 2654435761u + t) >> (i % 40));
+                done->inc();
+            }
+            running.fetch_sub(1);
+        });
+    go.store(true);
+
+    int rounds = 0;
+    int violations = 0;
+    while (running.load() > 0) {
+        MetricsSnapshot snap = reg.snapshot();
+        ++rounds;
+        if (snap.value("sps_started_total") <
+            snap.value("sps_done_total"))
+            ++violations;
+        const MetricSample *m = snap.find("sps_lat_us");
+        ASSERT_NE(m, nullptr);
+        uint64_t bucket_total = 0;
+        for (uint64_t b : m->buckets)
+            bucket_total += b;
+        if (bucket_total > m->count)
+            ++violations;
+
+        std::istringstream prom(renderPrometheus(snap));
+        std::string line;
+        int64_t prev = 0, inf = -1, count = -1;
+        while (std::getline(prom, line)) {
+            if (line.rfind("sps_lat_us_bucket", 0) == 0) {
+                int64_t v = std::stoll(line.substr(line.rfind(' ') + 1));
+                if (v < prev)
+                    ++violations;
+                prev = v;
+                if (line.find("+Inf") != std::string::npos)
+                    inf = v;
+            } else if (line.rfind("sps_lat_us_count", 0) == 0) {
+                count = std::stoll(line.substr(line.rfind(' ') + 1));
+            }
+        }
+        if (inf != count)
+            ++violations;
+    }
+    for (auto &t : writers)
+        t.join();
+    EXPECT_EQ(violations, 0) << "over " << rounds << " snapshots";
+    EXPECT_GT(rounds, 0);
+
+    MetricsSnapshot snap = reg.snapshot();
+    const MetricSample *m = snap.find("sps_lat_us");
+    ASSERT_NE(m, nullptr);
+    uint64_t bucket_total = 0;
+    for (uint64_t b : m->buckets)
+        bucket_total += b;
+    EXPECT_EQ(bucket_total, kThreads * kPerThread);
+    EXPECT_EQ(m->count, kThreads * kPerThread);
+}
+
 } // namespace
 } // namespace sps::obs
