@@ -34,9 +34,11 @@
  *                    concurrent client processes share the daemon's
  *                    warm tiers and dedup against each other.
  *                    cache_stats.csv then records the daemon's
- *                    cumulative per-tier counters, and --expect-warm
+ *                    cumulative per-tier counters (rendered from a
+ *                    MetricsRequest snapshot), and --expect-warm
  *                    asserts the daemon simulated nothing for *this*
- *                    run (the delta while we were connected).
+ *                    run (the sps_service_sims delta while we were
+ *                    connected).
  *   --metrics [prom|json]  scrape verb (requires --server): fetch a
  *                    live metrics snapshot from the daemon
  *                    (MetricsRequest round trip), print it to stdout
@@ -67,17 +69,6 @@ std::string g_dir = "results";
 sps::core::EvalEngine *g_engine = nullptr;
 sps::svc::EvalService *g_service = nullptr;
 sps::svc::EvalClient *g_client = nullptr;
-
-/** Value of one (tier, counter) row in a stats snapshot, or 0. */
-uint64_t
-statsValue(const std::vector<std::vector<std::string>> &rows,
-           const char *tier, const char *counter)
-{
-    for (const auto &row : rows)
-        if (row.size() == 3 && row[0] == tier && row[1] == counter)
-            return std::strtoull(row[2].c_str(), nullptr, 10);
-    return 0;
-}
 
 std::string
 path(const char *name)
@@ -191,15 +182,10 @@ exportFig15()
     // its grid twin) dedup, and results read/write the disk store. In
     // --server mode the same sweep plan rides the socket to the
     // daemon instead; the result bytes are identical either way.
-    auto pts =
-        g_client
-            ? g_client->appPerformance({8, 16, 32, 64, 128},
-                                       {2, 5, 10, 14})
-        : g_service
-            ? g_service->appPerformance({8, 16, 32, 64, 128},
-                                        {2, 5, 10, 14})
-            : sps::core::appPerformance({8, 16, 32, 64, 128},
-                                        {2, 5, 10, 14}, g_engine);
+    auto pts = g_client ? g_client->appPerformance({8, 16, 32, 64, 128},
+                                                   {2, 5, 10, 14})
+                        : g_service->appPerformance({8, 16, 32, 64, 128},
+                                                    {2, 5, 10, 14});
     sps::CsvWriter w;
     w.header({"app", "C", "N", "cycles", "speedup", "gops"});
     for (const auto &pt : pts) {
@@ -315,14 +301,14 @@ main(int argc, char **argv)
     // --server: the Figure-15 app grid evaluates in the daemon; the
     // figure-12-and-earlier sweeps and kernel exports stay local
     // (they are pure cost-model / schedule work, not app sims). The
-    // starting stats snapshot turns the daemon's cumulative counters
+    // starting metrics snapshot turns the daemon's cumulative counters
     // into this run's delta for --expect-warm.
     sps::svc::EvalClient *client = nullptr;
-    std::vector<std::vector<std::string>> server_stats_before;
+    sps::obs::MetricsSnapshot server_before;
     if (!server_sock.empty()) {
         try {
             client = new sps::svc::EvalClient(server_sock);
-            server_stats_before = client->stats();
+            server_before = client->metrics();
         } catch (const std::exception &e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;
@@ -346,46 +332,53 @@ main(int argc, char **argv)
         std::fprintf(stderr, "export failed: %s\n", e.what());
         return 1;
     }
-    auto ctr = g_engine->cache().counters();
-    auto svc_ctr = service.counters();
+    // The local tiers' counters (the kernel exports' schedule cache
+    // and, in-process, the app service) as one metrics snapshot.
+    const sps::obs::MetricsSnapshot local =
+        sps::svc::cacheTierSnapshot(service);
+    auto gauge = [&local](const char *name) {
+        return static_cast<long long>(local.value(name));
+    };
+    const long long compiles = gauge("sps_sched_cache_compiles");
+    const long long sims = gauge("sps_service_sims");
     std::printf("wrote figure data CSVs to %s/ "
-                "(%d threads; schedule cache: %llu compiles, "
-                "%llu disk hits, %llu hits; apps: %llu sims, "
-                "%llu disk hits)\n",
-                g_dir.c_str(), g_engine->threadCount(),
-                static_cast<unsigned long long>(ctr.misses),
-                static_cast<unsigned long long>(ctr.diskHits),
-                static_cast<unsigned long long>(ctr.hits),
-                static_cast<unsigned long long>(svc_ctr.computed),
-                static_cast<unsigned long long>(svc_ctr.diskHits));
+                "(%d threads; schedule cache: %lld compiles, "
+                "%lld disk hits, %lld hits; apps: %lld sims, "
+                "%lld disk hits)\n",
+                g_dir.c_str(), g_engine->threadCount(), compiles,
+                gauge("sps_sched_cache_disk_hits"),
+                gauge("sps_sched_cache_hits"), sims,
+                gauge("sps_service_disk_hits"));
+    auto writeCacheStats = [](const sps::obs::MetricsSnapshot &snap) {
+        sps::CsvWriter stats;
+        stats.header({"tier", "counter", "value"});
+        for (const auto &row : sps::svc::cacheStatsRows(snap))
+            stats.row(row);
+        stats.writeFile(path("cache_stats.csv"));
+    };
     if (client) {
         // The daemon's cumulative per-tier counters: a second
         // concurrent client shows up here as in-flight dedup and
         // memory hits, which is the observable proof of cross-client
         // sharing.
-        std::vector<std::vector<std::string>> after;
+        sps::obs::MetricsSnapshot after;
         try {
-            after = client->stats();
+            after = client->metrics();
         } catch (const std::exception &e) {
-            std::fprintf(stderr, "stats query failed: %s\n", e.what());
+            std::fprintf(stderr, "metrics query failed: %s\n",
+                         e.what());
             return 1;
         }
-        sps::CsvWriter stats;
-        stats.header({"tier", "counter", "value"});
-        for (const auto &row : after)
-            stats.row(row);
-        stats.writeFile(path("cache_stats.csv"));
+        writeCacheStats(after);
         if (expect_warm) {
-            uint64_t sims =
-                statsValue(after, "eval_service", "sims") -
-                statsValue(server_stats_before, "eval_service",
-                           "sims");
-            if (sims > 0) {
+            int64_t remote_sims = after.value("sps_service_sims") -
+                                  server_before.value("sps_service_sims");
+            if (remote_sims > 0) {
                 std::fprintf(
                     stderr,
-                    "--expect-warm: daemon simulated %llu app(s) "
+                    "--expect-warm: daemon simulated %lld app(s) "
                     "for this run\n",
-                    static_cast<unsigned long long>(sims));
+                    static_cast<long long>(remote_sims));
                 g_client = nullptr;
                 g_service = nullptr;
                 return 1;
@@ -394,18 +387,13 @@ main(int argc, char **argv)
         g_client = nullptr;
         delete client;
     } else if (store) {
-        sps::CsvWriter stats;
-        stats.header({"tier", "counter", "value"});
-        sps::svc::appendCacheStatsRows(stats, ctr, store, &service);
-        stats.writeFile(path("cache_stats.csv"));
+        writeCacheStats(local);
     }
-    if (!client && expect_warm &&
-        (ctr.misses > 0 || svc_ctr.computed > 0)) {
+    if (!client && expect_warm && (compiles > 0 || sims > 0)) {
         std::fprintf(stderr,
-                     "--expect-warm: cache was cold (%llu schedule "
-                     "compiles, %llu app sims)\n",
-                     static_cast<unsigned long long>(ctr.misses),
-                     static_cast<unsigned long long>(svc_ctr.computed));
+                     "--expect-warm: cache was cold (%lld schedule "
+                     "compiles, %lld app sims)\n",
+                     compiles, sims);
         g_service = nullptr;
         return 1;
     }

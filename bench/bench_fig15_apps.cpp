@@ -193,11 +193,10 @@ main(int argc, char **argv)
                 g.toString().c_str());
 
     if (store) {
-        auto rows = sps::svc::cacheStatsRows(
-            engine->cache().counters(), store, &service);
         std::printf("cache tiers (--cache-dir %s):\n",
                     cache_dir.c_str());
-        for (const auto &r : rows)
+        for (const auto &r : sps::svc::cacheStatsRows(
+                 sps::svc::cacheTierSnapshot(service)))
             std::printf("  %-16s %-16s %s\n", r[0].c_str(),
                         r[1].c_str(), r[2].c_str());
         std::printf("\n");

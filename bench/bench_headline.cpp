@@ -385,9 +385,8 @@ main(int argc, char **argv)
                 "parallel eval service):\n",
                 cache_dir.empty() ? "" : ", --cache-dir ",
                 cache_dir.c_str());
-    for (const auto &r : sps::svc::cacheStatsRows(cache.counters(),
-                                                  store,
-                                                  &parallel_svc))
+    for (const auto &r : sps::svc::cacheStatsRows(
+             sps::svc::cacheTierSnapshot(parallel_svc)))
         std::printf("  %-16s %-16s %s\n", r[0].c_str(), r[1].c_str(),
                     r[2].c_str());
 

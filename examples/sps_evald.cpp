@@ -233,8 +233,8 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(sc.connections),
                     static_cast<unsigned long long>(
                         sc.protocolErrors));
-        for (const auto &row : sps::svc::cacheStatsRows(
-                 engine.cache().counters(), store, &service))
+        for (const auto &row :
+             sps::svc::cacheStatsRows(registry->snapshot()))
             sps::inform("  %s %s = %s", row[0].c_str(),
                         row[1].c_str(), row[2].c_str());
     } catch (const std::exception &e) {

@@ -383,10 +383,10 @@ executeLowered(const LoweredKernel &lk, int c,
     // the whole body fuses: lane l = it * c + cl of the megastrip
     // computes exactly what strip it, cluster cl computes, and the
     // only cross-lane traffic (CommPerm) stays inside each c-wide
-    // sub-strip. Under FusionPolicy::Partial, bodies with a
-    // loop-carried core still fuse their prefix/suffix regions and
-    // serialize only the core (runPartialFused). Leftover strips past
-    // the last full block run unfused through the same buffers.
+    // sub-strip. Bodies with a loop-carried core still fuse their
+    // prefix/suffix regions and serialize only the core
+    // (runPartialFused). Leftover strips past the last full block run
+    // unfused through the same buffers.
     const bool partial = !lk.fusible &&
                          fusion == FusionPolicy::Partial &&
                          lk.partiallyFusible();

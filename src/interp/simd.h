@@ -18,11 +18,11 @@
  * scalar expression the scalar engine uses, so equality holds by
  * construction. See DESIGN.md "SIMD backend".
  *
- * Escape hatch: SPS_INTERP_SCALAR=1 in the environment (or
- * sim::RunOptions::forceScalarInterp) forces the scalar span executor;
- * SPS_INTERP_BACKEND=scalar|sse2|avx2 pins a specific tier;
- * SPS_INTERP_FUSION=off|full|partial (or sim::RunOptions::interpFusion)
- * pins the megastrip fusion policy.
+ * Escape hatch: SPS_INTERP_SCALAR=1 in the environment forces the
+ * scalar span executor; SPS_INTERP_BACKEND=scalar|sse2|avx2 pins a
+ * specific tier; SPS_INTERP_FUSION=off|partial pins the megastrip
+ * fusion policy. Per call, the runKernel overloads taking a
+ * SimdBackend (and FusionPolicy) pin both.
  */
 #ifndef SPS_INTERP_SIMD_H
 #define SPS_INTERP_SIMD_H
@@ -81,15 +81,13 @@ enum class FusionPolicy : uint8_t
 {
     /** No megastrip fusion: every strip runs at width C. */
     Off = 0,
-    /** All-or-nothing fusion only: bodies with any loop-carried op
-     *  run entirely unfused (the pre-partial behaviour). */
-    Full = 1,
-    /** Full fusion plus partial (prefix/suffix) fusion around the
-     *  loop-carried serial core (the default). */
-    Partial = 2,
+    /** Fully fusible bodies fuse whole; bodies with a loop-carried
+     *  core fuse their prefix/suffix around the serial core (the
+     *  default). */
+    Partial = 1,
 };
 
-/** Stable lower-case name ("off", "full", "partial"). */
+/** Stable lower-case name ("off", "partial"). */
 const char *fusionPolicyName(FusionPolicy p);
 
 /** Parse a policy name (case-sensitive, as in fusionPolicyName).

@@ -117,19 +117,23 @@ ScheduleCache::attachMetrics(obs::MetricsRegistry *registry)
         registry->histogram("sps_sched_compile_duration_us", "",
                             "Kernel compilation latency (us)"),
         std::memory_order_relaxed);
-    registry->addCollector([this, registry] {
-        Counters c = counters();
-        registry
-            ->gauge("sps_sched_cache_hits", "",
-                    "Schedule cache in-memory hits")
-            ->set(static_cast<int64_t>(c.hits));
-        registry->gauge("sps_sched_cache_disk_hits", "")
-            ->set(static_cast<int64_t>(c.diskHits));
-        registry->gauge("sps_sched_cache_compiles", "")
-            ->set(static_cast<int64_t>(c.misses));
-        registry->gauge("sps_sched_cache_entries", "")
-            ->set(static_cast<int64_t>(size()));
-    });
+    registry->addCollector([this, registry] { publishGauges(*registry); });
+}
+
+void
+ScheduleCache::publishGauges(obs::MetricsRegistry &registry) const
+{
+    Counters c = counters();
+    registry
+        .gauge("sps_sched_cache_hits", "",
+               "Schedule cache in-memory hits")
+        ->set(static_cast<int64_t>(c.hits));
+    registry.gauge("sps_sched_cache_disk_hits", "")
+        ->set(static_cast<int64_t>(c.diskHits));
+    registry.gauge("sps_sched_cache_compiles", "")
+        ->set(static_cast<int64_t>(c.misses));
+    registry.gauge("sps_sched_cache_entries", "")
+        ->set(static_cast<int64_t>(size()));
 }
 
 ScheduleCache::Counters

@@ -110,6 +110,14 @@ class ScheduleCache
      */
     void attachMetrics(obs::MetricsRegistry *registry);
 
+    /**
+     * Set the gauges sps_sched_cache_{hits,disk_hits,compiles,
+     * entries} in `registry` from the current counters -- the body of
+     * the attachMetrics collector, callable on a throwaway registry
+     * to take a snapshot without attaching anything.
+     */
+    void publishGauges(obs::MetricsRegistry &registry) const;
+
     Counters counters() const;
     size_t size() const;
 

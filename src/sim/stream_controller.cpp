@@ -76,8 +76,7 @@ fillCycleBreakdown(const std::vector<mem::BusyInterval> &mem,
 void
 runKernelFunctionally(const StreamOp &op, int clusters,
                       FunctionalContext &ctx,
-                      const stream::StreamProgram &prog,
-                      bool force_scalar, interp::FusionPolicy fusion)
+                      const stream::StreamProgram &prog)
 {
     const kernel::Kernel &k = *op.k;
     std::vector<interp::StreamData> inputs;
@@ -96,11 +95,7 @@ runKernelFunctionally(const StreamOp &op, int clusters,
             out_streams.push_back(bound);
         }
     }
-    interp::ExecResult exec = interp::runKernel(
-        k, clusters, inputs,
-        force_scalar ? interp::SimdBackend::Scalar
-                     : interp::defaultSimdBackend(),
-        fusion);
+    interp::ExecResult exec = interp::runKernel(k, clusters, inputs);
     SPS_ASSERT(exec.outputs.size() == out_streams.size(),
                "kernel %s: output count mismatch", k.name.c_str());
     for (size_t o = 0; o < out_streams.size(); ++o)
@@ -371,9 +366,7 @@ executeProgram(const stream::StreamProgram &prog,
             }
             if (opts.functional)
                 runKernelFunctionally(op, cfg.clusters,
-                                      *opts.functional, prog,
-                                      opts.forceScalarInterp,
-                                      opts.interpFusion);
+                                      *opts.functional, prog);
             complete[i] = end;
             in_flight.push(end);
             iv.start = start;

@@ -131,22 +131,23 @@ ResultStore::attachMetrics(obs::MetricsRegistry *registry)
         std::memory_order_relaxed);
     // Cumulative counters ride as collector-refreshed gauges: zero
     // hot-path cost, always current at snapshot time.
-    registry->addCollector([this, registry] {
-        StoreCounters c = counters();
-        auto pub = [&](const char *name, uint64_t v,
-                       const char *help = "") {
-            registry->gauge(name, "", help)
-                ->set(static_cast<int64_t>(v));
-        };
-        pub("sps_store_hits", c.hits,
-            "Verified result-store entries served");
-        pub("sps_store_misses", c.misses);
-        pub("sps_store_corrupt", c.corrupt);
-        pub("sps_store_writes", c.writes);
-        pub("sps_store_write_errors", c.writeErrors);
-        pub("sps_store_evicted", c.evicted);
-        pub("sps_store_reclaimed_bytes", c.reclaimedBytes);
-    });
+    registry->addCollector([this, registry] { publishGauges(*registry); });
+}
+
+void
+ResultStore::publishGauges(obs::MetricsRegistry &registry) const
+{
+    StoreCounters c = counters();
+    auto pub = [&](const char *name, uint64_t v, const char *help = "") {
+        registry.gauge(name, "", help)->set(static_cast<int64_t>(v));
+    };
+    pub("sps_store_hits", c.hits, "Verified result-store entries served");
+    pub("sps_store_misses", c.misses);
+    pub("sps_store_corrupt", c.corrupt);
+    pub("sps_store_writes", c.writes);
+    pub("sps_store_write_errors", c.writeErrors);
+    pub("sps_store_evicted", c.evicted);
+    pub("sps_store_reclaimed_bytes", c.reclaimedBytes);
 }
 
 bool

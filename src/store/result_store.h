@@ -124,6 +124,11 @@ class ResultStore
      */
     void attachMetrics(obs::MetricsRegistry *registry);
 
+    /** Set the sps_store_* counter gauges in `registry` from
+     *  counters() -- the attachMetrics collector's body, usable on a
+     *  throwaway registry without attaching anything. */
+    void publishGauges(obs::MetricsRegistry &registry) const;
+
     /** Entry file path of a key (exposed for corruption tests). */
     std::string entryPath(const Key &key) const;
 

@@ -69,15 +69,12 @@ class EvalClient
     appPerformance(const std::vector<int> &c_values,
                    const std::vector<int> &n_values);
 
-    /** The server's cumulative cache-tier counters
-     *  (svc::cacheStatsRows of the daemon's service). */
-    std::vector<std::vector<std::string>> stats();
-
     /**
      * A live metrics snapshot from the server (MetricsRequest round
      * trip). Throws the server's Error message when the daemon runs
      * without telemetry. Render locally with obs::renderPrometheus /
-     * obs::renderJson, or assert on the numbers directly.
+     * obs::renderJson, or assert on the numbers directly; the daemon's
+     * cumulative cache-tier counters are svc::cacheStatsRows of it.
      */
     obs::MetricsSnapshot metrics();
 

@@ -22,7 +22,7 @@ namespace sps::svc {
 
 namespace {
 
-/** One queued response: either an immediate frame (stats, errors) or
+/** One queued response: either an immediate frame (metrics, errors) or
  *  a pending evaluation whose result frame is produced on delivery. */
 struct PendingResponse
 {
@@ -150,13 +150,6 @@ EvalServer::acceptLoop()
     }
 }
 
-std::vector<std::vector<std::string>>
-EvalServer::statsRows() const
-{
-    return cacheStatsRows(service_->engine().cache().counters(),
-                          service_->store(), service_);
-}
-
 void
 EvalServer::serveConnection(int fd)
 {
@@ -278,17 +271,6 @@ EvalServer::serveConnection(int fd)
                         std::to_string(pt.size.alusPerCluster));
             }
             r.future = service_->submit(pt, r.span);
-            enqueue(std::move(r));
-            break;
-        }
-        case FrameKind::StatsRequest: {
-            requests_.fetch_add(1, std::memory_order_relaxed);
-            store::ByteWriter w;
-            encodeStatsRows(statsRows(), &w);
-            PendingResponse r;
-            r.immediate = true;
-            r.kind = FrameKind::StatsReply;
-            r.payload = w.bytes();
             enqueue(std::move(r));
             break;
         }

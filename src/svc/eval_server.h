@@ -98,7 +98,6 @@ class EvalServer
   private:
     void acceptLoop();
     void serveConnection(int fd);
-    std::vector<std::vector<std::string>> statsRows() const;
 
     EvalService *service_;
     std::string socketPath_;

@@ -432,20 +432,7 @@ EvalService::attachMetrics(obs::MetricsRegistry *registry)
     m->simDuration = registry->histogram(
         "sps_sim_duration_us", "",
         "Simulation wall time of computed requests (us)");
-    registry->addCollector([this, registry] {
-        ServiceCounters c = counters();
-        auto pub = [&](const char *name, uint64_t v,
-                       const char *help = "") {
-            registry->gauge(name, "", help)
-                ->set(static_cast<int64_t>(v));
-        };
-        pub("sps_service_submitted", c.submitted,
-            "Distinct requests queued (post-dedup)");
-        pub("sps_service_mem_hits", c.memHits);
-        pub("sps_service_inflight_dedup", c.inflightDedup);
-        pub("sps_service_disk_hits", c.diskHits);
-        pub("sps_service_sims", c.computed);
-    });
+    registry->addCollector([this, registry] { publishGauges(*registry); });
     metricsStorage_ = std::move(m);
     metrics_.store(metricsStorage_.get(), std::memory_order_release);
 }
@@ -462,48 +449,64 @@ EvalService::counters() const
     return c;
 }
 
-std::vector<std::vector<std::string>>
-cacheStatsRows(const sched::ScheduleCache::Counters &sched,
-               const store::ResultStore *store,
-               const EvalService *service)
+void
+EvalService::publishGauges(obs::MetricsRegistry &registry) const
 {
-    auto n = [](uint64_t v) { return std::to_string(v); };
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back({"schedule_cache", "mem_hits", n(sched.hits)});
-    rows.push_back({"schedule_cache", "disk_hits", n(sched.diskHits)});
-    rows.push_back({"schedule_cache", "compiles", n(sched.misses)});
-    if (store) {
-        store::StoreCounters sc = store->counters();
-        rows.push_back({"result_store", "hits", n(sc.hits)});
-        rows.push_back({"result_store", "misses", n(sc.misses)});
-        rows.push_back({"result_store", "corrupt", n(sc.corrupt)});
-        rows.push_back({"result_store", "writes", n(sc.writes)});
-        rows.push_back(
-            {"result_store", "write_errors", n(sc.writeErrors)});
-        rows.push_back({"result_store", "evicted", n(sc.evicted)});
-        rows.push_back({"result_store", "reclaimed_bytes",
-                        n(sc.reclaimedBytes)});
-    }
-    if (service) {
-        ServiceCounters vc = service->counters();
-        rows.push_back({"eval_service", "submitted", n(vc.submitted)});
-        rows.push_back({"eval_service", "mem_hits", n(vc.memHits)});
-        rows.push_back(
-            {"eval_service", "inflight_dedup", n(vc.inflightDedup)});
-        rows.push_back({"eval_service", "disk_hits", n(vc.diskHits)});
-        rows.push_back({"eval_service", "sims", n(vc.computed)});
-    }
-    return rows;
+    ServiceCounters c = counters();
+    auto pub = [&](const char *name, uint64_t v, const char *help = "") {
+        registry.gauge(name, "", help)->set(static_cast<int64_t>(v));
+    };
+    pub("sps_service_submitted", c.submitted,
+        "Distinct requests queued (post-dedup)");
+    pub("sps_service_mem_hits", c.memHits);
+    pub("sps_service_inflight_dedup", c.inflightDedup);
+    pub("sps_service_disk_hits", c.diskHits);
+    pub("sps_service_sims", c.computed);
 }
 
-void
-appendCacheStatsRows(CsvWriter &w,
-                     const sched::ScheduleCache::Counters &sched,
-                     const store::ResultStore *store,
-                     const EvalService *service)
+obs::MetricsSnapshot
+cacheTierSnapshot(const EvalService &service)
 {
-    for (auto &r : cacheStatsRows(sched, store, service))
-        w.row(r);
+    obs::MetricsRegistry registry;
+    service.engine().cache().publishGauges(registry);
+    if (service.store())
+        service.store()->publishGauges(registry);
+    service.publishGauges(registry);
+    return registry.snapshot();
+}
+
+std::vector<std::vector<std::string>>
+cacheStatsRows(const obs::MetricsSnapshot &snap)
+{
+    struct TierGauge
+    {
+        const char *tier;
+        const char *counter;
+        const char *gauge;
+    };
+    static constexpr TierGauge kRows[] = {
+        {"schedule_cache", "mem_hits", "sps_sched_cache_hits"},
+        {"schedule_cache", "disk_hits", "sps_sched_cache_disk_hits"},
+        {"schedule_cache", "compiles", "sps_sched_cache_compiles"},
+        {"result_store", "hits", "sps_store_hits"},
+        {"result_store", "misses", "sps_store_misses"},
+        {"result_store", "corrupt", "sps_store_corrupt"},
+        {"result_store", "writes", "sps_store_writes"},
+        {"result_store", "write_errors", "sps_store_write_errors"},
+        {"result_store", "evicted", "sps_store_evicted"},
+        {"result_store", "reclaimed_bytes", "sps_store_reclaimed_bytes"},
+        {"eval_service", "submitted", "sps_service_submitted"},
+        {"eval_service", "mem_hits", "sps_service_mem_hits"},
+        {"eval_service", "inflight_dedup", "sps_service_inflight_dedup"},
+        {"eval_service", "disk_hits", "sps_service_disk_hits"},
+        {"eval_service", "sims", "sps_service_sims"},
+    };
+    std::vector<std::vector<std::string>> rows;
+    for (const TierGauge &r : kRows)
+        if (const obs::MetricSample *m = snap.find(r.gauge))
+            rows.push_back(
+                {r.tier, r.counter, std::to_string(m->value)});
+    return rows;
 }
 
 } // namespace sps::svc

@@ -39,7 +39,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/csv.h"
 #include "core/eval_engine.h"
 #include "core/experiments.h"
 #include "obs/span.h"
@@ -189,6 +188,11 @@ class EvalService
      */
     void attachMetrics(obs::MetricsRegistry *registry);
 
+    /** Set the sps_service_* counter gauges in `registry` from
+     *  counters() -- the attachMetrics collector's body, usable on a
+     *  throwaway registry without attaching anything. */
+    void publishGauges(obs::MetricsRegistry &registry) const;
+
   private:
     struct Job
     {
@@ -241,22 +245,22 @@ class EvalService
 };
 
 /**
- * Append the cache-tier observability rows (tier, counter, value) for
- * the schedule cache, the store, and the service to a CSV started
- * with header {"tier", "counter", "value"}. Null store/service are
- * skipped. This is the canonical export behind cache_stats.csv and
- * the bench_headline cache section.
+ * The cache-tier gauges of `service`, its schedule cache, and its
+ * store (when attached), published into a fresh registry and
+ * snapshotted -- what an in-process run renders with cacheStatsRows.
  */
-void appendCacheStatsRows(CsvWriter &w,
-                          const sched::ScheduleCache::Counters &sched,
-                          const store::ResultStore *store,
-                          const EvalService *service);
+obs::MetricsSnapshot cacheTierSnapshot(const EvalService &service);
 
-/** The same rows as (tier, counter, value) string triples. */
+/**
+ * The cache-tier observability rows (tier, counter, value) of a
+ * metrics snapshot: schedule cache, result store, then eval service,
+ * one row for each tier gauge the snapshot holds (a snapshot without
+ * a store's gauges has no result_store rows). The one renderer behind
+ * cache_stats.csv, the bench_headline cache section, and the daemon's
+ * shutdown log, in-process or from a MetricsReply alike.
+ */
 std::vector<std::vector<std::string>>
-cacheStatsRows(const sched::ScheduleCache::Counters &sched,
-               const store::ResultStore *store,
-               const EvalService *service);
+cacheStatsRows(const obs::MetricsSnapshot &snap);
 
 } // namespace sps::svc
 

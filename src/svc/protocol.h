@@ -12,7 +12,6 @@
  *
  * Conversation shape (client-initiated, ordered per connection):
  *   EvalRequest    -> EvalResult | Error
- *   StatsRequest   -> StatsReply | Error
  *   MetricsRequest -> MetricsReply | Error
  * Responses come back in request order, so a client may pipeline any
  * number of requests before reading the first response; the server
@@ -55,8 +54,11 @@ inline constexpr uint32_t kProtocolMagic = 0x50535053;
  *      client's MetricsRequest would otherwise kill its connection to
  *      a v1 server mid-conversation instead of failing the version
  *      check up front.
+ *  3 = retires the stats request/reply frames: kinds 4 and 5 are
+ *      unassigned, so a frame of either kind is malformed, and
+ *      clients render cache-tier rows from a MetricsReply snapshot.
  */
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /** Frame header size: magic, version, kind, reserved, payload
  *  length (u64), checksum (u64) -- the same 32-byte shape as a store
@@ -73,8 +75,7 @@ enum class FrameKind : uint32_t {
     EvalRequest = 1,    ///< payload: encodeEvalRequest
     EvalResult = 2,     ///< payload: store::encodeSimResult
     Error = 3,          ///< payload: one string (the error message)
-    StatsRequest = 4,   ///< payload: empty
-    StatsReply = 5,     ///< payload: encodeStatsRows
+    // 4 and 5 (the v1/v2 stats frames) are unassigned.
     MetricsRequest = 6, ///< payload: empty
     MetricsReply = 7,   ///< payload: encodeMetricsSnapshot
 };
@@ -110,12 +111,6 @@ void encodeEvalRequest(const EvalPoint &pt, store::ByteWriter *w);
 /** False on truncation, trailing bytes, or malformed fields. */
 bool decodeEvalRequest(const std::vector<uint8_t> &bytes,
                        EvalPoint *out);
-
-/** The (tier, counter, value) triples of svc::cacheStatsRows. */
-void encodeStatsRows(const std::vector<std::vector<std::string>> &rows,
-                     store::ByteWriter *w);
-bool decodeStatsRows(const std::vector<uint8_t> &bytes,
-                     std::vector<std::vector<std::string>> *out);
 
 void encodeErrorString(const std::string &message,
                        store::ByteWriter *w);

@@ -6,7 +6,7 @@
  * patterns) x cluster counts straddling the vector widths x stream
  * lengths biased onto SIMD-width and strip boundaries, asserting that
  * every available backend (scalar span executor, SSE2, AVX2) — the
- * SIMD tiers under every megastrip-fusion policy (off/full/partial) —
+ * SIMD tiers under every megastrip-fusion policy (off/partial) —
  * produces results bit-for-bit identical to runKernelReference — int
  * and float values alike are compared as raw bit patterns.
  *
@@ -411,8 +411,7 @@ runCase(const GenKernel &gk, uint64_t seed, int c,
             continue;
         }
         for (FusionPolicy fusion :
-             {FusionPolicy::Off, FusionPolicy::Full,
-              FusionPolicy::Partial}) {
+             {FusionPolicy::Off, FusionPolicy::Partial}) {
             const ExecResult got =
                 sps::interp::runKernel(gk.k, c, inputs, backend,
                                        fusion);

@@ -205,16 +205,19 @@ TEST(EvalServerTest, ConfigOverrideEvaluatedUnderItsOwnKey)
     server.stop();
 }
 
-TEST(EvalServerTest, StatsReplyCarriesServiceRows)
+TEST(EvalServerTest, MetricsReplyCarriesServiceRows)
 {
     core::EvalEngine engine(2);
+    obs::MetricsRegistry registry;
     EvalService service(&engine);
     std::string sock = freshSock("stats");
-    EvalServer server(&service, sock);
+    ServerTelemetry telemetry;
+    telemetry.registry = &registry;
+    EvalServer server(&service, sock, telemetry);
 
     EvalClient client(sock);
     client.eval({"DEPTH", {8, 5}, {}});
-    auto rows = client.stats();
+    auto rows = cacheStatsRows(client.metrics());
     bool saw_sims = false;
     for (const auto &row : rows)
         if (row.size() == 3 && row[0] == "eval_service" &&

@@ -31,8 +31,7 @@ TEST(EvalProtocolTest, FrameRoundTripEveryKind)
 {
     for (FrameKind kind :
          {FrameKind::EvalRequest, FrameKind::EvalResult,
-          FrameKind::Error, FrameKind::StatsRequest,
-          FrameKind::StatsReply, FrameKind::MetricsRequest,
+          FrameKind::Error, FrameKind::MetricsRequest,
           FrameKind::MetricsReply}) {
         std::vector<uint8_t> payload{1, 2, 3, 0xff, 0};
         std::vector<uint8_t> bytes = frameBytes(kind, payload);
@@ -46,10 +45,11 @@ TEST(EvalProtocolTest, FrameRoundTripEveryKind)
 
 TEST(EvalProtocolTest, EmptyPayloadRoundTrips)
 {
-    std::vector<uint8_t> bytes = frameBytes(FrameKind::StatsRequest, {});
+    std::vector<uint8_t> bytes =
+        frameBytes(FrameKind::MetricsRequest, {});
     Frame back;
     ASSERT_TRUE(decodeFrame(bytes, &back));
-    EXPECT_EQ(back.kind, FrameKind::StatsRequest);
+    EXPECT_EQ(back.kind, FrameKind::MetricsRequest);
     EXPECT_TRUE(back.payload.empty());
 }
 
@@ -117,7 +117,32 @@ TEST(EvalProtocolTest, UnknownKindRejected)
         damaged[8] = bad;
         Frame out;
         EXPECT_FALSE(decodeFrame(damaged, &out));
+        // The checksum covers the kind, so the damaged frame above
+        // fails on it alone; a frame checksummed over the unknown
+        // kind reaches the kind check.
+        EXPECT_FALSE(decodeFrame(
+            frameBytes(static_cast<FrameKind>(bad), {1}), &out));
     }
+}
+
+TEST(EvalProtocolTest, RetiredStatsKindsRejected)
+{
+    // Kinds 4 and 5 carried the stats frames up to version 2. A
+    // current-version frame of either kind, checksummed over its
+    // own header, must still be rejected; the same frame with an
+    // assigned kind decodes.
+    for (uint32_t kind : {4u, 5u}) {
+        std::vector<uint8_t> bytes =
+            frameBytes(static_cast<FrameKind>(kind), {});
+        ASSERT_EQ(bytes.size(), kFrameHeaderBytes);
+        EXPECT_EQ(bytes[4], kProtocolVersion);
+        EXPECT_EQ(bytes[8], kind);
+        Frame out;
+        EXPECT_FALSE(decodeFrame(bytes, &out)) << "kind " << kind;
+    }
+    Frame out;
+    EXPECT_TRUE(
+        decodeFrame(frameBytes(FrameKind::MetricsRequest, {}), &out));
 }
 
 TEST(EvalProtocolTest, LyingLengthFieldRejected)
@@ -209,21 +234,6 @@ TEST(EvalProtocolTest, EvalRequestEveryTruncationRejected)
     std::vector<uint8_t> padded = bytes;
     padded.push_back(0);
     EXPECT_FALSE(decodeEvalRequest(padded, &out));
-}
-
-TEST(EvalProtocolTest, StatsRowsRoundTrip)
-{
-    std::vector<std::vector<std::string>> rows{
-        {"result_store", "hits", "12"},
-        {"eval_service", "sims", "0"},
-        {},
-        {"one"},
-    };
-    store::ByteWriter w;
-    encodeStatsRows(rows, &w);
-    std::vector<std::vector<std::string>> back;
-    ASSERT_TRUE(decodeStatsRows(w.bytes(), &back));
-    EXPECT_EQ(back, rows);
 }
 
 TEST(EvalProtocolTest, ErrorStringRoundTrip)

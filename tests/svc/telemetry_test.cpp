@@ -2,8 +2,9 @@
 // (requests_total == mem + disk + compute + error, per-tier histogram
 // counts matching tier counters), snapshot consistency under a
 // concurrent submit storm (TSan-covered in CI), the MetricsRequest
-// round trip through server and client, and the server-side span
-// pipeline behind the slow-request log and the Chrome-trace export.
+// round trip through server and client, the server-side span
+// pipeline behind the slow-request log and the Chrome-trace export,
+// and the cache-tier rows rendered from a snapshot.
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
@@ -315,6 +316,100 @@ TEST(ServerTelemetryTest, MetricsWithoutTelemetryIsACleanError)
     EXPECT_GT(client.eval(kPoint).cycles, 0);
     EXPECT_EQ(server.metricsSnapshot().metrics.size(), 0u);
     server.stop();
+}
+
+using Rows = std::vector<std::vector<std::string>>;
+
+TEST(CacheTierRowsTest, PinnedRowsOfASmallSweepWithAStore)
+{
+    // A deterministic sweep that moves every tier: computes, a memory
+    // hit, a disk hit, and -- after the schedule cache is emptied --
+    // schedules read back from the store. The expected rows (tier,
+    // counter, value, order) were recorded with the renderer that
+    // read the three counter structs directly.
+    std::string root = freshRoot("rows");
+    store::ResultStore store(root);
+    core::EvalEngine engine(1);
+    sched::ScheduleCache &cache = engine.cache();
+    cache.clear();
+    cache.attachStore(&store);
+    Rows rows;
+    {
+        EvalService service(&engine, &store);
+        service.eval(kPoint);
+        service.eval(kPoint);
+        service.clearMemory();
+        service.eval(kPoint);
+        cache.clear();
+        service.eval({"QRD", {8, 5}, {}});
+        sim::SimConfig slow;
+        slow.memConfig.latencyCycles += 200;
+        service.eval({"DEPTH", {8, 5}, slow});
+        rows = cacheStatsRows(cacheTierSnapshot(service));
+    }
+    cache.attachStore(nullptr);
+    cache.clear();
+    const Rows want{
+        {"schedule_cache", "mem_hits", "0"},
+        {"schedule_cache", "disk_hits", "3"},
+        {"schedule_cache", "compiles", "2"},
+        {"result_store", "hits", "4"},
+        {"result_store", "misses", "8"},
+        {"result_store", "corrupt", "0"},
+        {"result_store", "writes", "8"},
+        {"result_store", "write_errors", "0"},
+        {"result_store", "evicted", "0"},
+        {"result_store", "reclaimed_bytes", "0"},
+        {"eval_service", "submitted", "4"},
+        {"eval_service", "mem_hits", "1"},
+        {"eval_service", "inflight_dedup", "0"},
+        {"eval_service", "disk_hits", "1"},
+        {"eval_service", "sims", "3"},
+    };
+    EXPECT_EQ(rows, want);
+}
+
+TEST(CacheTierRowsTest, RowsFollowTheGaugesTheSnapshotHolds)
+{
+    EXPECT_TRUE(cacheStatsRows(obs::MetricsSnapshot{}).empty());
+    // No store attached: schedule-cache and service rows only.
+    core::EvalEngine engine(1);
+    EvalService service(&engine);
+    Rows rows = cacheStatsRows(cacheTierSnapshot(service));
+    ASSERT_EQ(rows.size(), 8u);
+    EXPECT_EQ(rows[2][0] + "," + rows[2][1], "schedule_cache,compiles");
+    EXPECT_EQ(rows[3][0] + "," + rows[3][1], "eval_service,submitted");
+    EXPECT_EQ(rows[7][0] + "," + rows[7][1], "eval_service,sims");
+}
+
+TEST(CacheTierRowsTest, AttachedRegistryRendersTheSameRows)
+{
+    // A daemon's registry (collectors attached, histograms and all)
+    // and a throwaway snapshot of the same components agree row for
+    // row: the --server and in-process cache_stats.csv share one
+    // source.
+    std::string root = freshRoot("attached");
+    store::ResultStore store(root);
+    core::EvalEngine engine(1);
+    sched::ScheduleCache &cache = engine.cache();
+    cache.clear();
+    cache.attachStore(&store);
+    {
+        obs::MetricsRegistry reg;
+        store.attachMetrics(&reg);
+        cache.attachMetrics(&reg);
+        EvalService service(&engine, &store);
+        service.attachMetrics(&reg);
+        service.eval(kPoint);
+        service.eval(kPoint);
+        Rows attached = cacheStatsRows(reg.snapshot());
+        EXPECT_EQ(attached.size(), 15u);
+        EXPECT_EQ(attached, cacheStatsRows(cacheTierSnapshot(service)));
+        cache.attachMetrics(nullptr);
+        store.attachMetrics(nullptr);
+    }
+    cache.attachStore(nullptr);
+    cache.clear();
 }
 
 } // namespace
