@@ -163,11 +163,7 @@ main(int argc, char **argv)
 
     sps::core::EvalEngine engine(threads);
 
-    // The registry is read by store/cache/service hot paths and by
-    // collector callbacks at snapshot time; like the store below it
-    // must outlive the global schedule cache, so it is deliberately
-    // leaked.
-    auto *registry = new sps::obs::MetricsRegistry();
+    sps::obs::MetricsRegistry registry;
 
     // The store must outlive the global schedule cache, whose
     // destruction order against locals is not ours to control, so it
@@ -183,15 +179,15 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(reaped),
                 cache_dir.c_str());
         store->sweepToBudget();
-        store->attachMetrics(registry);
+        store->attachMetrics(&registry);
         engine.cache().attachStore(store);
     }
-    engine.cache().attachMetrics(registry);
+    engine.cache().attachMetrics(&registry);
 
     sps::svc::EvalService service(&engine, store);
     try {
         sps::svc::ServerTelemetry telemetry;
-        telemetry.registry = registry;
+        telemetry.registry = &registry;
         telemetry.slowRequestUs = slow_request_ms * 1000;
         sps::svc::EvalServer server(&service, sock, telemetry);
         std::signal(SIGINT, handleStop);
@@ -211,14 +207,14 @@ main(int argc, char **argv)
                 auto now = std::chrono::steady_clock::now();
                 if (now - last_dump >=
                     std::chrono::seconds(metrics_interval)) {
-                    dumpMetrics(*registry, metrics_out);
+                    dumpMetrics(registry, metrics_out);
                     last_dump = now;
                 }
             }
         }
         server.stop();
         if (!metrics_out.empty())
-            dumpMetrics(*registry, metrics_out);
+            dumpMetrics(registry, metrics_out);
         if (!span_trace.empty()) {
             sps::trace::Tracer tracer;
             server.spanRecorder().toTracer(&tracer);
@@ -234,7 +230,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         sc.protocolErrors));
         for (const auto &row :
-             sps::svc::cacheStatsRows(registry->snapshot()))
+             sps::svc::cacheStatsRows(registry.snapshot()))
             sps::inform("  %s %s = %s", row[0].c_str(),
                         row[1].c_str(), row[2].c_str());
     } catch (const std::exception &e) {

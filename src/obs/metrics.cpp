@@ -49,112 +49,59 @@ MetricsSnapshot::value(const std::string &name,
     return m ? m->value : 0;
 }
 
-MetricsRegistry::Entry *
-MetricsRegistry::findOrNull(const std::string &name,
-                            const std::string &labels, MetricKind kind)
-{
-    for (auto &e : entries_)
-        if (e->name == name && e->labels == labels) {
-            SPS_ASSERT(e->kind == kind,
-                       "metric %s re-registered with a different kind",
-                       name.c_str());
-            return e.get();
-        }
-    return nullptr;
-}
-
-Counter *
-MetricsRegistry::counter(const std::string &name,
-                         const std::string &labels,
-                         const std::string &help)
+void
+MetricsRegistry::list(MetricKind kind, const void *metric,
+                      const std::string &name, const std::string &labels,
+                      const std::string &help)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (Entry *e = findOrNull(name, labels, MetricKind::Counter))
-        return e->c.get();
-    auto e = std::make_unique<Entry>();
-    e->name = name;
-    e->labels = labels;
-    e->help = help;
-    e->kind = MetricKind::Counter;
-    e->c = std::make_unique<Counter>();
-    Counter *out = e->c.get();
-    entries_.push_back(std::move(e));
-    return out;
-}
-
-Gauge *
-MetricsRegistry::gauge(const std::string &name,
-                       const std::string &labels,
-                       const std::string &help)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (Entry *e = findOrNull(name, labels, MetricKind::Gauge))
-        return e->g.get();
-    auto e = std::make_unique<Entry>();
-    e->name = name;
-    e->labels = labels;
-    e->help = help;
-    e->kind = MetricKind::Gauge;
-    e->g = std::make_unique<Gauge>();
-    Gauge *out = e->g.get();
-    entries_.push_back(std::move(e));
-    return out;
-}
-
-Histogram *
-MetricsRegistry::histogram(const std::string &name,
-                           const std::string &labels,
-                           const std::string &help)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (Entry *e = findOrNull(name, labels, MetricKind::Histogram))
-        return e->h.get();
-    auto e = std::make_unique<Entry>();
-    e->name = name;
-    e->labels = labels;
-    e->help = help;
-    e->kind = MetricKind::Histogram;
-    e->h = std::make_unique<Histogram>();
-    Histogram *out = e->h.get();
-    entries_.push_back(std::move(e));
-    return out;
+    for (const Entry &e : entries_)
+        SPS_ASSERT(e.name != name || e.labels != labels,
+                   "metric %s{%s} listed twice", name.c_str(),
+                   labels.c_str());
+    entries_.push_back(Entry{name, labels, help, kind, metric});
 }
 
 void
-MetricsRegistry::addCollector(std::function<void()> fn)
+MetricsRegistry::add(const Counter &c, const std::string &name,
+                     const std::string &labels, const std::string &help)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    collectors_.push_back(std::move(fn));
+    list(MetricKind::Counter, &c, name, labels, help);
+}
+
+void
+MetricsRegistry::add(const Gauge &g, const std::string &name,
+                     const std::string &labels, const std::string &help)
+{
+    list(MetricKind::Gauge, &g, name, labels, help);
+}
+
+void
+MetricsRegistry::add(const Histogram &h, const std::string &name,
+                     const std::string &labels, const std::string &help)
+{
+    list(MetricKind::Histogram, &h, name, labels, help);
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
-    // Collectors may register new gauges and set values; run them
-    // outside the lock so they can call gauge() themselves.
-    std::vector<std::function<void()>> collectors;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        collectors = collectors_;
-    }
-    for (const auto &fn : collectors)
-        fn();
-
     MetricsSnapshot snap;
     std::lock_guard<std::mutex> lock(mu_);
     snap.metrics.reserve(entries_.size());
-    for (const auto &e : entries_) {
+    for (const Entry &e : entries_) {
         MetricSample m;
-        m.name = e->name;
-        m.labels = e->labels;
-        m.help = e->help;
-        m.kind = e->kind;
-        switch (e->kind) {
+        m.name = e.name;
+        m.labels = e.labels;
+        m.help = e.help;
+        m.kind = e.kind;
+        switch (e.kind) {
         case MetricKind::Counter:
-            m.value = static_cast<int64_t>(e->c->value());
+            m.value = static_cast<int64_t>(
+                static_cast<const Counter *>(e.metric)->value());
             break;
         case MetricKind::Gauge:
-            m.value = e->g->value();
+            m.value = static_cast<const Gauge *>(e.metric)->value();
             break;
         case MetricKind::Histogram: {
             // Buckets first (acquire), then count/sum: observe()
@@ -163,12 +110,13 @@ MetricsRegistry::snapshot() const
             // increment with it. A racing observe() can only make
             // count/sum run *ahead* of the bucket total, never behind,
             // so sum-of-buckets <= count holds in every snapshot.
+            const auto *h = static_cast<const Histogram *>(e.metric);
             m.buckets.resize(Histogram::kBuckets);
             for (int i = 0; i < Histogram::kBuckets; ++i)
                 m.buckets[static_cast<size_t>(i)] =
-                    e->h->buckets_[i].load(std::memory_order_acquire);
-            m.count = e->h->count();
-            m.sum = e->h->sum();
+                    h->buckets_[i].load(std::memory_order_acquire);
+            m.count = h->count();
+            m.sum = h->sum();
             break;
         }
         }

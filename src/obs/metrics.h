@@ -8,21 +8,25 @@
  *
  * Three metric kinds:
  *  - Counter:   monotonically increasing u64 (requests, hits, errors);
- *  - Gauge:     last-write-wins i64 (active connections, queue depth),
- *               also settable at snapshot time by collector callbacks
- *               so cheap cumulative counters owned by other subsystems
- *               (store tiers, schedule cache) appear in every scrape
- *               without paying anything on their hot paths;
+ *  - Gauge:     last-write-wins i64 (active connections, entry counts);
  *  - Histogram: log2-bucketed latency/size distribution with exact
  *               count and sum, and p50/p95/p99 extraction from the
  *               bucket boundaries.
  *
+ * Ownership: every metric is a member of the component that records
+ * it (the cache, store, service, or server), so it always records and
+ * counters() views the same objects a scrape reads. MetricsRegistry
+ * is only a directory: add() lists a caller-owned metric under a
+ * (name, labels) pair, and snapshot() reads the listed metrics in
+ * place. Nothing points from a component into a registry, so the
+ * lifetime rule runs one way: a registry must not take a snapshot
+ * after a metric it lists has died; it may itself die first.
+ *
  * Cost model: the hot path is one atomic fetch_add (Counter,
- * Histogram bucket+count+sum) or store (Gauge) on a pre-resolved
- * handle -- registration resolves the name once, recording never
- * touches the registry lock, a map, or a string. snapshot() is the
- * only reader and pays the whole cost of consistency: it runs the
- * collectors, then copies every metric under the registration lock.
+ * Histogram bucket+count+sum) or store (Gauge) on a member -- no
+ * registry lock, map, string, or pointer load. snapshot() is the only
+ * reader and pays the whole cost of consistency: it copies every
+ * listed metric under the listing lock.
  *
  * Because recording is lock-free, a snapshot taken under concurrent
  * load is a *near-point-in-time* view: each individual atomic is read
@@ -32,9 +36,9 @@
  * snapshot; exact conservation holds in any quiescent snapshot. The
  * monotone invariants rest on write and read order: the writer bumps
  * the bounding atomic first and the bounded one with a release; the
- * snapshot reads the bounded one first, with an acquire. Counters
- * registered earlier are read earlier, and a histogram's buckets are
- * read before its count.
+ * snapshot reads the bounded one first, with an acquire. Metrics
+ * listed earlier are read earlier, and a histogram's buckets are read
+ * before its count.
  *
  * Exposition: renderPrometheus() emits the Prometheus text format
  * (counters/gauges as plain samples, histograms as cumulative
@@ -48,16 +52,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace sps::obs {
 
-/** Monotonic counter. Obtain from MetricsRegistry::counter(); the
- *  handle stays valid for the registry's lifetime. */
+/** Monotonic counter, owned by the component that counts. */
 class Counter
 {
   public:
@@ -71,6 +72,10 @@ class Counter
     }
 
     uint64_t value() const { return v_.load(std::memory_order_acquire); }
+
+    /** Back to zero, for an owner whose count restarts (a cleared
+     *  cache); a scrape across the reset sees the count drop. */
+    void reset() { v_.store(0, std::memory_order_release); }
 
   private:
     std::atomic<uint64_t> v_{0};
@@ -199,11 +204,11 @@ struct MetricsSnapshot
 };
 
 /**
- * Registry of named metrics. counter()/gauge()/histogram() register
- * on first use and return the existing handle on repeated calls with
- * the same (name, labels) -- handles are stable for the registry's
- * lifetime. Registration takes a mutex; recording through a handle
- * never does.
+ * Directory of named metrics that callers own. add() lists a metric
+ * under (name, labels); listing a pair twice panics, whatever the
+ * kinds. One metric may be listed under several names (one count, two
+ * series). Listing takes a mutex; recording never touches the
+ * registry.
  */
 class MetricsRegistry
 {
@@ -212,27 +217,14 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    Counter *counter(const std::string &name,
-                     const std::string &labels = "",
-                     const std::string &help = "");
-    Gauge *gauge(const std::string &name,
-                 const std::string &labels = "",
-                 const std::string &help = "");
-    Histogram *histogram(const std::string &name,
-                         const std::string &labels = "",
-                         const std::string &help = "");
+    void add(const Counter &c, const std::string &name,
+             const std::string &labels = "", const std::string &help = "");
+    void add(const Gauge &g, const std::string &name,
+             const std::string &labels = "", const std::string &help = "");
+    void add(const Histogram &h, const std::string &name,
+             const std::string &labels = "", const std::string &help = "");
 
-    /**
-     * Register a callback run at the start of every snapshot(),
-     * before metric values are read -- the hook by which subsystems
-     * with their own cheap atomic counters (result store, schedule
-     * cache, server) publish them as gauges without any hot-path
-     * cost. The objects a collector touches must outlive the
-     * registry's last snapshot().
-     */
-    void addCollector(std::function<void()> fn);
-
-    /** Point-in-time copy of every metric (runs collectors first). */
+    /** Point-in-time copy of every listed metric, in listing order. */
     MetricsSnapshot snapshot() const;
 
     size_t size() const;
@@ -244,17 +236,15 @@ class MetricsRegistry
         std::string labels;
         std::string help;
         MetricKind kind;
-        std::unique_ptr<Counter> c;
-        std::unique_ptr<Gauge> g;
-        std::unique_ptr<Histogram> h;
+        const void *metric; ///< the Counter/Gauge/Histogram of `kind`
     };
 
-    Entry *findOrNull(const std::string &name,
-                      const std::string &labels, MetricKind kind);
+    void list(MetricKind kind, const void *metric,
+              const std::string &name, const std::string &labels,
+              const std::string &help);
 
     mutable std::mutex mu_;
-    std::vector<std::unique_ptr<Entry>> entries_;
-    std::vector<std::function<void()>> collectors_;
+    std::vector<Entry> entries_;
 };
 
 /** Render a snapshot in the Prometheus text exposition format. */

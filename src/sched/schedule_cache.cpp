@@ -51,8 +51,10 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m,
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto &slot = map_[key];
-        if (!slot)
+        if (!slot) {
             slot = std::make_shared<Entry>();
+            entries_.add(1);
+        }
         entry = slot;
         disk = store_;
     }
@@ -71,22 +73,20 @@ ScheduleCache::get(const kernel::Kernel &k, const MachineModel &m,
         }
         uint64_t t0 = obs::monotonicMicros();
         entry->ck = compileKernel(k, m, opts);
-        if (obs::Histogram *h =
-                compileUs_.load(std::memory_order_relaxed))
-            h->observe(obs::monotonicMicros() - t0);
+        compileUs_.observe(obs::monotonicMicros() - t0);
         outcome = kCompiled;
         if (disk)
             disk->storeSchedule(skey, entry->ck);
     });
     switch (outcome) {
     case kCompiled:
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_.inc();
         break;
     case kDisk:
-        diskHits_.fetch_add(1, std::memory_order_relaxed);
+        diskHits_.inc();
         break;
     case kMemory:
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        hits_.inc();
         break;
     }
     return entry->ck;
@@ -109,39 +109,19 @@ ScheduleCache::attachedStore() const
 void
 ScheduleCache::attachMetrics(obs::MetricsRegistry *registry)
 {
-    if (!registry) {
-        compileUs_.store(nullptr, std::memory_order_relaxed);
-        return;
-    }
-    compileUs_.store(
-        registry->histogram("sps_sched_compile_duration_us", "",
-                            "Kernel compilation latency (us)"),
-        std::memory_order_relaxed);
-    registry->addCollector([this, registry] { publishGauges(*registry); });
-}
-
-void
-ScheduleCache::publishGauges(obs::MetricsRegistry &registry) const
-{
-    Counters c = counters();
-    registry
-        .gauge("sps_sched_cache_hits", "",
-               "Schedule cache in-memory hits")
-        ->set(static_cast<int64_t>(c.hits));
-    registry.gauge("sps_sched_cache_disk_hits", "")
-        ->set(static_cast<int64_t>(c.diskHits));
-    registry.gauge("sps_sched_cache_compiles", "")
-        ->set(static_cast<int64_t>(c.misses));
-    registry.gauge("sps_sched_cache_entries", "")
-        ->set(static_cast<int64_t>(size()));
+    registry->add(compileUs_, "sps_sched_compile_duration_us", "",
+                  "Kernel compilation latency (us)");
+    registry->add(hits_, "sps_sched_cache_hits", "",
+                  "Schedule cache in-memory hits");
+    registry->add(diskHits_, "sps_sched_cache_disk_hits");
+    registry->add(misses_, "sps_sched_cache_compiles");
+    registry->add(entries_, "sps_sched_cache_entries");
 }
 
 ScheduleCache::Counters
 ScheduleCache::counters() const
 {
-    return Counters{hits_.load(std::memory_order_relaxed),
-                    misses_.load(std::memory_order_relaxed),
-                    diskHits_.load(std::memory_order_relaxed)};
+    return Counters{hits_.value(), misses_.value(), diskHits_.value()};
 }
 
 size_t
@@ -161,9 +141,10 @@ ScheduleCache::clear()
     // in-flight get() calls or invalidate outstanding references.
     retired_.push_back(std::move(map_));
     map_ = Map{};
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    diskHits_.store(0, std::memory_order_relaxed);
+    entries_.set(0);
+    hits_.reset();
+    misses_.reset();
+    diskHits_.reset();
 }
 
 ScheduleCache &

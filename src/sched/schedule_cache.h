@@ -26,22 +26,17 @@
 #ifndef SPS_SCHED_SCHEDULE_CACHE_H
 #define SPS_SCHED_SCHEDULE_CACHE_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sched/kernel_perf.h"
 
 namespace sps::store {
 class ResultStore;
-}
-
-namespace sps::obs {
-class MetricsRegistry;
-class Histogram;
 }
 
 namespace sps::sched {
@@ -102,21 +97,13 @@ class ScheduleCache
     store::ResultStore *attachedStore() const;
 
     /**
-     * Publish this cache's telemetry into `registry`: a compile
-     * duration histogram (observed on every true compile from then
-     * on) and a snapshot collector exporting the cumulative Counters
-     * plus the entry count as gauges. Same lifetime contract as
-     * ResultStore::attachMetrics; nullptr detaches the histogram.
+     * List this cache's metrics in `registry`: the compile-duration
+     * histogram, the hit/disk-hit/compile counters counters() reads,
+     * and the entry-count gauge. The metrics record whether or not
+     * anything lists them; the cache must outlive the registry's last
+     * snapshot().
      */
     void attachMetrics(obs::MetricsRegistry *registry);
-
-    /**
-     * Set the gauges sps_sched_cache_{hits,disk_hits,compiles,
-     * entries} in `registry` from the current counters -- the body of
-     * the attachMetrics collector, callable on a throwaway registry
-     * to take a snapshot without attaching anything.
-     */
-    void publishGauges(obs::MetricsRegistry &registry) const;
 
     Counters counters() const;
     size_t size() const;
@@ -168,11 +155,12 @@ class ScheduleCache
     std::vector<Map> retired_;
     /** Optional persistent tier (guarded by mu_ for pointer access). */
     store::ResultStore *store_ = nullptr;
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> diskHits_{0};
-    /** Compile-duration histogram (null until attachMetrics). */
-    std::atomic<obs::Histogram *> compileUs_{nullptr};
+    obs::Counter hits_;
+    obs::Counter misses_;
+    obs::Counter diskHits_;
+    /** Keys in the live map (bumped and zeroed under mu_). */
+    obs::Gauge entries_;
+    obs::Histogram compileUs_;
 };
 
 } // namespace sps::sched

@@ -85,69 +85,51 @@ ResultStore::entryPath(const Key &key) const
 bool
 ResultStore::get(const Key &key, std::vector<uint8_t> *payload)
 {
-    if (!getHitUs_.load(std::memory_order_relaxed))
-        return get_(key, payload);
+    return read(key, payload) && accept(true);
+}
+
+bool
+ResultStore::read(const Key &key, std::vector<uint8_t> *payload)
+{
     uint64_t t0 = obs::monotonicMicros();
     bool ok = get_(key, payload);
-    obs::Histogram *h =
-        (ok ? getHitUs_ : getMissUs_).load(std::memory_order_relaxed);
-    if (h)
-        h->observe(obs::monotonicMicros() - t0);
+    (ok ? getHitUs_ : getMissUs_).observe(obs::monotonicMicros() - t0);
     return ok;
+}
+
+bool
+ResultStore::accept(bool decoded)
+{
+    (decoded ? hits_ : corrupt_).inc();
+    return decoded;
 }
 
 bool
 ResultStore::put(const Key &key, const std::vector<uint8_t> &payload)
 {
-    obs::Histogram *h = putUs_.load(std::memory_order_relaxed);
-    if (!h)
-        return put_(key, payload);
     uint64_t t0 = obs::monotonicMicros();
     bool ok = put_(key, payload);
-    h->observe(obs::monotonicMicros() - t0);
+    putUs_.observe(obs::monotonicMicros() - t0);
     return ok;
 }
 
 void
 ResultStore::attachMetrics(obs::MetricsRegistry *registry)
 {
-    if (!registry) {
-        getHitUs_.store(nullptr, std::memory_order_relaxed);
-        getMissUs_.store(nullptr, std::memory_order_relaxed);
-        putUs_.store(nullptr, std::memory_order_relaxed);
-        return;
-    }
-    getHitUs_.store(
-        registry->histogram("sps_store_get_duration_us",
-                            "result=\"hit\"",
-                            "Result store get() latency (us)"),
-        std::memory_order_relaxed);
-    getMissUs_.store(registry->histogram("sps_store_get_duration_us",
-                                         "result=\"miss\""),
-                     std::memory_order_relaxed);
-    putUs_.store(
-        registry->histogram("sps_store_put_duration_us", "",
-                            "Result store put() latency (us)"),
-        std::memory_order_relaxed);
-    // Cumulative counters ride as collector-refreshed gauges: zero
-    // hot-path cost, always current at snapshot time.
-    registry->addCollector([this, registry] { publishGauges(*registry); });
-}
-
-void
-ResultStore::publishGauges(obs::MetricsRegistry &registry) const
-{
-    StoreCounters c = counters();
-    auto pub = [&](const char *name, uint64_t v, const char *help = "") {
-        registry.gauge(name, "", help)->set(static_cast<int64_t>(v));
-    };
-    pub("sps_store_hits", c.hits, "Verified result-store entries served");
-    pub("sps_store_misses", c.misses);
-    pub("sps_store_corrupt", c.corrupt);
-    pub("sps_store_writes", c.writes);
-    pub("sps_store_write_errors", c.writeErrors);
-    pub("sps_store_evicted", c.evicted);
-    pub("sps_store_reclaimed_bytes", c.reclaimedBytes);
+    registry->add(getHitUs_, "sps_store_get_duration_us",
+                  "result=\"hit\"", "Result store get() latency (us)");
+    registry->add(getMissUs_, "sps_store_get_duration_us",
+                  "result=\"miss\"");
+    registry->add(putUs_, "sps_store_put_duration_us", "",
+                  "Result store put() latency (us)");
+    registry->add(hits_, "sps_store_hits", "",
+                  "Verified result-store entries served");
+    registry->add(misses_, "sps_store_misses");
+    registry->add(corrupt_, "sps_store_corrupt");
+    registry->add(writes_, "sps_store_writes");
+    registry->add(writeErrors_, "sps_store_write_errors");
+    registry->add(evicted_, "sps_store_evicted");
+    registry->add(reclaimedBytes_, "sps_store_reclaimed_bytes");
 }
 
 bool
@@ -155,13 +137,13 @@ ResultStore::get_(const Key &key, std::vector<uint8_t> *payload)
 {
     std::ifstream in(entryPath(key), std::ios::binary);
     if (!in) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_.inc();
         return false;
     }
     std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                std::istreambuf_iterator<char>());
     if (!in.good() && !in.eof()) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
+        corrupt_.inc();
         return false;
     }
 
@@ -176,11 +158,10 @@ ResultStore::get_(const Key &key, std::vector<uint8_t> *payload)
         kind != static_cast<uint32_t>(key.kind) ||
         bytes.size() != kHeaderBytes + length ||
         checksum != fnv1aBytes(bytes.data() + kHeaderBytes, length)) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
+        corrupt_.inc();
         return false;
     }
     payload->assign(bytes.begin() + kHeaderBytes, bytes.end());
-    hits_.fetch_add(1, std::memory_order_relaxed);
     // Refresh the entry's file time so the LRU sweep orders entries
     // by *access* recency. Best effort: an entry evicted between the
     // read and the touch was still served correctly.
@@ -219,17 +200,17 @@ ResultStore::put_(const Key &key, const std::vector<uint8_t> &payload)
         // A partial write (e.g. disk full) leaves a temp file behind;
         // remove it so failed puts never accumulate `.tmp.*` residue.
         // When the open itself failed the remove is a no-op.
-        writeErrors_.fetch_add(1, std::memory_order_relaxed);
+        writeErrors_.inc();
         std::filesystem::remove(temp_path, ec);
         return false;
     }
     std::filesystem::rename(temp_path, final_path, ec);
     if (ec) {
-        writeErrors_.fetch_add(1, std::memory_order_relaxed);
+        writeErrors_.inc();
         std::filesystem::remove(temp_path, ec);
         return false;
     }
-    writes_.fetch_add(1, std::memory_order_relaxed);
+    writes_.inc();
     if (maxCacheBytes_ != 0)
         sweepToBudget();
     return true;
@@ -238,16 +219,11 @@ ResultStore::put_(const Key &key, const std::vector<uint8_t> &payload)
 bool
 ResultStore::loadSchedule(const Key &key, sched::CompiledKernel *out)
 {
+    // A checksummed payload that does not parse is a schema drift
+    // that forgot the version bump: corrupt, never a wrong hit.
     std::vector<uint8_t> payload;
-    if (!get(key, &payload))
-        return false;
-    if (decodeCompiledKernel(payload, out))
-        return true;
-    // Checksum passed but the payload does not parse: a schema drift
-    // that forgot the version bump. Still a miss, never a wrong hit.
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
-    hits_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
+    return read(key, &payload) &&
+           accept(decodeCompiledKernel(payload, out));
 }
 
 bool
@@ -263,13 +239,7 @@ bool
 ResultStore::loadSimResult(const Key &key, sim::SimResult *out)
 {
     std::vector<uint8_t> payload;
-    if (!get(key, &payload))
-        return false;
-    if (decodeSimResult(payload, out))
-        return true;
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
-    hits_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
+    return read(key, &payload) && accept(decodeSimResult(payload, out));
 }
 
 bool
@@ -365,8 +335,8 @@ ResultStore::sweepToBudget()
             continue; // already evicted by someone else
         total -= f.bytes;
         reclaimed += f.bytes;
-        evicted_.fetch_add(1, std::memory_order_relaxed);
-        reclaimedBytes_.fetch_add(f.bytes, std::memory_order_relaxed);
+        evicted_.inc();
+        reclaimedBytes_.inc(f.bytes);
     }
     return reclaimed;
 }
@@ -386,7 +356,7 @@ ResultStore::reapOrphanTemps(uint64_t minAgeSeconds)
         if (!std::filesystem::remove(f.path, ec) || ec)
             continue;
         ++reaped;
-        reclaimedBytes_.fetch_add(f.bytes, std::memory_order_relaxed);
+        reclaimedBytes_.inc(f.bytes);
     }
     return reaped;
 }
@@ -394,16 +364,10 @@ ResultStore::reapOrphanTemps(uint64_t minAgeSeconds)
 StoreCounters
 ResultStore::counters() const
 {
-    StoreCounters c;
-    c.hits = hits_.load(std::memory_order_relaxed);
-    c.misses = misses_.load(std::memory_order_relaxed);
-    c.corrupt = corrupt_.load(std::memory_order_relaxed);
-    c.writes = writes_.load(std::memory_order_relaxed);
-    c.writeErrors = writeErrors_.load(std::memory_order_relaxed);
-    c.evicted = evicted_.load(std::memory_order_relaxed);
-    c.reclaimedBytes =
-        reclaimedBytes_.load(std::memory_order_relaxed);
-    return c;
+    return StoreCounters{hits_.value(),        misses_.value(),
+                         corrupt_.value(),     writes_.value(),
+                         writeErrors_.value(), evicted_.value(),
+                         reclaimedBytes_.value()};
 }
 
 } // namespace sps::store

@@ -41,12 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "store/codec.h"
-
-namespace sps::obs {
-class MetricsRegistry;
-class Histogram;
-}
 
 namespace sps::store {
 
@@ -114,20 +110,12 @@ class ResultStore
     StoreCounters counters() const;
 
     /**
-     * Publish this store's telemetry into `registry`: get/put latency
-     * histograms (observed on every call from then on) and a snapshot
-     * collector exporting the cumulative StoreCounters as gauges.
-     * Attach once, at wiring time, before concurrent traffic; the
-     * registry must outlive the store's last get()/put(), and this
-     * store must outlive the registry's last snapshot(). nullptr
-     * detaches the histograms (the collector stays registered).
+     * List this store's metrics in `registry`: the get/put latency
+     * histograms and the counters counters() reads. The metrics
+     * record whether or not anything lists them; the store must
+     * outlive the registry's last snapshot().
      */
     void attachMetrics(obs::MetricsRegistry *registry);
-
-    /** Set the sps_store_* counter gauges in `registry` from
-     *  counters() -- the attachMetrics collector's body, usable on a
-     *  throwaway registry without attaching anything. */
-    void publishGauges(obs::MetricsRegistry &registry) const;
 
     /** Entry file path of a key (exposed for corruption tests). */
     std::string entryPath(const Key &key) const;
@@ -157,23 +145,28 @@ class ResultStore
     std::string root_;
     uint64_t maxCacheBytes_ = 0;
     std::mutex sweepMu_; ///< one sweep/reap at a time
-    std::atomic<uint64_t> hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> corrupt_{0};
-    std::atomic<uint64_t> writes_{0};
-    std::atomic<uint64_t> writeErrors_{0};
-    std::atomic<uint64_t> evicted_{0};
-    std::atomic<uint64_t> reclaimedBytes_{0};
+    obs::Counter hits_;
+    obs::Counter misses_;
+    obs::Counter corrupt_;
+    obs::Counter writes_;
+    obs::Counter writeErrors_;
+    obs::Counter evicted_;
+    obs::Counter reclaimedBytes_;
     std::atomic<uint64_t> tempSeq_{0};
+    /** get() latency, split by result so a cold directory's misses
+     *  don't skew hit latency. */
+    obs::Histogram getHitUs_;
+    obs::Histogram getMissUs_;
+    obs::Histogram putUs_;
 
+    /** Timed, verified read; counts misses and corrupt entries, while
+     *  the caller counts the hit once the payload is accepted. */
+    bool read(const Key &key, std::vector<uint8_t> *payload);
+    /** Count a verified payload as a hit, or as corrupt when it failed
+     *  to decode; returns `decoded`. */
+    bool accept(bool decoded);
     bool get_(const Key &key, std::vector<uint8_t> *payload);
     bool put_(const Key &key, const std::vector<uint8_t> &payload);
-
-    /** Latency histograms (null until attachMetrics): get is split by
-     *  result so a cold directory's misses don't skew hit latency. */
-    std::atomic<obs::Histogram *> getHitUs_{nullptr};
-    std::atomic<obs::Histogram *> getMissUs_{nullptr};
-    std::atomic<obs::Histogram *> putUs_{nullptr};
 };
 
 } // namespace sps::store

@@ -52,26 +52,19 @@ EvalServer::EvalServer(EvalService *service, std::string socketPath,
 {
     if (obs::MetricsRegistry *reg = telemetry_.registry) {
         // One wiring point for the whole request path: the server
-        // owns its own metrics and attaches the service's, so a
-        // daemon enables request-tier telemetry with one struct.
+        // lists its own metrics and the service's, so a daemon
+        // enables request-tier telemetry with one struct.
         service_->attachMetrics(reg);
-        e2eUs_ = reg->histogram(
-            "sps_server_request_duration_us", "",
-            "End-to-end request latency incl. delivery (us)");
-        activeConns_ = reg->gauge("sps_server_active_connections", "",
-                                  "Connections currently being served");
-        reg->addCollector([this, reg] {
-            Counters c = counters();
-            reg->gauge("sps_server_connections", "",
-                       "Connections accepted")
-                ->set(static_cast<int64_t>(c.connections));
-            reg->gauge("sps_server_requests", "",
-                       "Well-formed frames handled")
-                ->set(static_cast<int64_t>(c.requests));
-            reg->gauge("sps_server_protocol_errors", "",
-                       "Malformed frames/streams")
-                ->set(static_cast<int64_t>(c.protocolErrors));
-        });
+        reg->add(e2eUs_, "sps_server_request_duration_us", "",
+                 "End-to-end request latency incl. delivery (us)");
+        reg->add(activeConns_, "sps_server_active_connections", "",
+                 "Connections currently being served");
+        reg->add(connections_, "sps_server_connections", "",
+                 "Connections accepted");
+        reg->add(requests_, "sps_server_requests", "",
+                 "Well-formed frames handled");
+        reg->add(protocolErrors_, "sps_server_protocol_errors", "",
+                 "Malformed frames/streams");
     }
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -142,7 +135,7 @@ EvalServer::acceptLoop()
             ::close(fd);
             return;
         }
-        connections_.fetch_add(1, std::memory_order_relaxed);
+        connections_.inc();
         std::lock_guard<std::mutex> lock(mu_);
         connFds_.insert(fd);
         conns_.emplace_back(
@@ -153,8 +146,7 @@ EvalServer::acceptLoop()
 void
 EvalServer::serveConnection(int fd)
 {
-    if (activeConns_)
-        activeConns_->add(1);
+    activeConns_.add(1);
     std::mutex qmu;
     std::condition_variable qcv;
     std::deque<PendingResponse> queue;
@@ -211,8 +203,7 @@ EvalServer::serveConnection(int fd)
                     r.span->stage("deliver", tDeliver,
                                   obs::monotonicMicros());
                     r.span->finish(&spans_);
-                    if (e2eUs_)
-                        e2eUs_->observe(r.span->totalUs());
+                    e2eUs_.observe(r.span->totalUs());
                     if (telemetry_.slowRequestUs &&
                         r.span->totalUs() >= telemetry_.slowRequestUs)
                         warn("slow request: %s",
@@ -238,7 +229,7 @@ EvalServer::serveConnection(int fd)
             // the peer (best effort) and drop the connection. Only
             // this connection dies -- the listener and every other
             // client keep going.
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.inc();
             PendingResponse r;
             r.immediate = true;
             r.kind = FrameKind::Error;
@@ -250,8 +241,7 @@ EvalServer::serveConnection(int fd)
         case FrameKind::EvalRequest: {
             EvalPoint pt;
             if (!decodeEvalRequest(frame.payload, &pt)) {
-                protocolErrors_.fetch_add(1,
-                                          std::memory_order_relaxed);
+                protocolErrors_.inc();
                 PendingResponse r;
                 r.immediate = true;
                 r.kind = FrameKind::Error;
@@ -259,7 +249,7 @@ EvalServer::serveConnection(int fd)
                 enqueue(std::move(r));
                 break;
             }
-            requests_.fetch_add(1, std::memory_order_relaxed);
+            requests_.inc();
             PendingResponse r;
             if (telemetry_.registry || telemetry_.slowRequestUs) {
                 r.span = std::make_shared<obs::RequestSpan>(
@@ -275,7 +265,7 @@ EvalServer::serveConnection(int fd)
             break;
         }
         case FrameKind::MetricsRequest: {
-            requests_.fetch_add(1, std::memory_order_relaxed);
+            requests_.inc();
             PendingResponse r;
             r.immediate = true;
             if (telemetry_.registry) {
@@ -298,7 +288,7 @@ EvalServer::serveConnection(int fd)
             // A response kind arriving at the server is a confused
             // peer; answer with an error but keep the stream (the
             // frame itself was well-formed).
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.inc();
             PendingResponse r;
             r.immediate = true;
             r.kind = FrameKind::Error;
@@ -322,8 +312,7 @@ EvalServer::serveConnection(int fd)
         connFds_.erase(fd);
     }
     ::close(fd);
-    if (activeConns_)
-        activeConns_->add(-1);
+    activeConns_.add(-1);
 }
 
 obs::MetricsSnapshot
@@ -336,12 +325,8 @@ EvalServer::metricsSnapshot() const
 EvalServer::Counters
 EvalServer::counters() const
 {
-    Counters c;
-    c.connections = connections_.load(std::memory_order_relaxed);
-    c.requests = requests_.load(std::memory_order_relaxed);
-    c.protocolErrors =
-        protocolErrors_.load(std::memory_order_relaxed);
-    return c;
+    return Counters{connections_.value(), requests_.value(),
+                    protocolErrors_.value()};
 }
 
 } // namespace sps::svc

@@ -36,18 +36,18 @@
 namespace sps::svc {
 
 /**
- * Telemetry wiring for one EvalServer. With a registry the server
- * registers its own metrics (end-to-end request latency, active
- * connections, cumulative counters as collector gauges), attaches the
- * service's metrics (the single wiring point for the request tiers),
- * creates a RequestSpan per EvalRequest, and answers MetricsRequest
- * frames with a live snapshot. Without one, every telemetry path is
- * compiled to a null check and MetricsRequest answers with an Error
- * frame.
+ * Telemetry wiring for one EvalServer. The server's own metrics
+ * (end-to-end request latency, active connections, and the counters
+ * counters() reads) are members that always record. With a registry
+ * the server lists them there, attaches the service's metrics (the
+ * single wiring point for the request tiers), creates a RequestSpan
+ * per EvalRequest, and answers MetricsRequest frames with a live
+ * snapshot. Without one, MetricsRequest answers with an Error frame.
  */
 struct ServerTelemetry
 {
-    /** Null disables metrics; must outlive the server. */
+    /** Null disables the scrape; the server and the service must
+     *  outlive its last snapshot(). */
     obs::MetricsRegistry *registry = nullptr;
     /** A finished request slower than this (microseconds, end to end)
      *  logs one structured warn() line; 0 disables. */
@@ -105,9 +105,8 @@ class EvalServer
     obs::SpanRecorder spans_;
     /** Request-span ids (unique per server lifetime). */
     std::atomic<uint64_t> requestSeq_{0};
-    /** Pre-resolved handles (null without a registry). */
-    obs::Histogram *e2eUs_ = nullptr;
-    obs::Gauge *activeConns_ = nullptr;
+    obs::Histogram e2eUs_;
+    obs::Gauge activeConns_;
     int listenFd_ = -1;
     std::atomic<bool> stopping_{false};
 
@@ -115,9 +114,9 @@ class EvalServer
     std::vector<std::thread> conns_;
     std::unordered_set<int> connFds_;
 
-    std::atomic<uint64_t> connections_{0};
-    std::atomic<uint64_t> requests_{0};
-    std::atomic<uint64_t> protocolErrors_{0};
+    obs::Counter connections_;
+    obs::Counter requests_;
+    obs::Counter protocolErrors_;
 
     std::thread acceptor_;
 };

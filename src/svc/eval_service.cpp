@@ -140,10 +140,8 @@ std::shared_future<sim::SimResult>
 EvalService::submit(const EvalPoint &pt,
                     std::shared_ptr<obs::RequestSpan> span)
 {
-    Metrics *m = metrics_.load(std::memory_order_acquire);
-    uint64_t t0 = m ? obs::monotonicMicros() : 0;
-    if (m)
-        m->requests->inc();
+    uint64_t t0 = obs::monotonicMicros();
+    requests_.inc();
     std::string key = requestKey(pt);
     std::shared_future<sim::SimResult> future;
     {
@@ -152,19 +150,15 @@ EvalService::submit(const EvalPoint &pt,
         if (it != results_.end()) {
             bool ready = it->second.wait_for(std::chrono::seconds(0)) ==
                          std::future_status::ready;
-            (ready ? memHits_ : inflightDedup_)
-                .fetch_add(1, std::memory_order_relaxed);
+            (ready ? memHits_ : inflightDedup_).inc();
             // Both flavors count as the memory tier: the request was
             // served without touching disk or the engine (a dedup'd
             // in-flight twin rides the winner's work).
             constexpr int kMem = static_cast<int>(obs::Tier::Mem);
             if (span)
                 span->setTier(obs::Tier::Mem);
-            if (m) {
-                m->tier[kMem]->inc();
-                m->durationTier[kMem]->observe(obs::monotonicMicros() -
-                                               t0);
-            }
+            tier_[kMem].inc();
+            durationTier_[kMem].observe(obs::monotonicMicros() - t0);
             return it->second;
         }
         Job job;
@@ -174,7 +168,7 @@ EvalService::submit(const EvalPoint &pt,
         future = job.promise.get_future().share();
         results_.emplace(std::move(key), future);
         pending_.push_back(std::move(job));
-        submitted_.fetch_add(1, std::memory_order_relaxed);
+        submitted_.inc();
     }
     wake_.notify_one();
     return future;
@@ -221,13 +215,11 @@ EvalService::dispatchLoop()
 void
 EvalService::runJob(Job &job)
 {
-    Metrics *m = metrics_.load(std::memory_order_acquire);
     obs::RequestSpan *span = job.span.get();
     uint64_t start = obs::monotonicMicros();
     if (span)
         span->stage("queue", job.enqueueUs, start);
-    if (m)
-        m->queueWait->observe(start - job.enqueueUs);
+    queueWait_.observe(start - job.enqueueUs);
     obs::Tier tier = obs::Tier::Error;
     sim::SimResult res;
     std::exception_ptr err;
@@ -264,7 +256,6 @@ EvalService::runJob(Job &job)
             from_disk = store_->loadSimResult(key, &res);
         }
         if (from_disk) {
-            diskHits_.fetch_add(1, std::memory_order_relaxed);
             tier = obs::Tier::Disk;
         } else {
             uint64_t tSim = obs::monotonicMicros();
@@ -272,9 +263,7 @@ EvalService::runJob(Job &job)
             uint64_t tSimEnd = obs::monotonicMicros();
             if (span)
                 span->stage("sim", tSim, tSimEnd);
-            if (m)
-                m->simDuration->observe(tSimEnd - tSim);
-            computed_.fetch_add(1, std::memory_order_relaxed);
+            simDuration_.observe(tSimEnd - tSim);
             tier = obs::Tier::Compute;
             if (store_) {
                 obs::StageTimer t(span, "store_put");
@@ -293,12 +282,9 @@ EvalService::runJob(Job &job)
     // this request's outcome.
     if (span)
         span->setTier(tier);
-    if (m) {
-        int ti = static_cast<int>(tier);
-        m->tier[ti]->inc();
-        m->durationTier[ti]->observe(obs::monotonicMicros() -
-                                     job.enqueueUs);
-    }
+    int ti = static_cast<int>(tier);
+    tier_[ti].inc();
+    durationTier_[ti].observe(obs::monotonicMicros() - job.enqueueUs);
     if (err)
         job.promise.set_exception(std::move(err));
     else
@@ -400,11 +386,6 @@ EvalService::clearMemory()
 void
 EvalService::attachMetrics(obs::MetricsRegistry *registry)
 {
-    if (!registry) {
-        metrics_.store(nullptr, std::memory_order_release);
-        return;
-    }
-    auto m = std::make_unique<Metrics>();
     const char *durationHelp =
         "Submit-to-resolution request latency (us)";
     const char *tierHelp =
@@ -414,77 +395,61 @@ EvalService::attachMetrics(obs::MetricsRegistry *registry)
         int i = static_cast<int>(t);
         std::string label =
             std::string("tier=\"") + obs::tierName(t) + "\"";
-        m->tier[i] = registry->counter("sps_requests_tier_total",
-                                       label, tierHelp);
-        m->durationTier[i] = registry->histogram(
-            "sps_request_duration_us", label, durationHelp);
+        registry->add(tier_[i], "sps_requests_tier_total", label,
+                      tierHelp);
+        registry->add(durationTier_[i], "sps_request_duration_us",
+                      label, durationHelp);
     }
-    // Registered (and therefore snapshot-read) *after* the tier
-    // counters: a request increments requests_total first and its
-    // tier outcome later, so reading outcomes before the total keeps
+    // Listed (and therefore snapshot-read) *after* the tier counters:
+    // a request increments requests_total first and its tier outcome
+    // later, so reading outcomes before the total keeps
     // sum(tiers) <= requests_total in every concurrent snapshot.
-    m->requests = registry->counter(
-        "sps_requests_total", "",
-        "Evaluation requests submitted to the service");
-    m->queueWait = registry->histogram(
-        "sps_queue_wait_us", "",
-        "Submit-to-dispatch queue wait (us)");
-    m->simDuration = registry->histogram(
-        "sps_sim_duration_us", "",
-        "Simulation wall time of computed requests (us)");
-    registry->addCollector([this, registry] { publishGauges(*registry); });
-    metricsStorage_ = std::move(m);
-    metrics_.store(metricsStorage_.get(), std::memory_order_release);
+    registry->add(requests_, "sps_requests_total", "",
+                  "Evaluation requests submitted to the service");
+    registry->add(queueWait_, "sps_queue_wait_us", "",
+                  "Submit-to-dispatch queue wait (us)");
+    registry->add(simDuration_, "sps_sim_duration_us", "",
+                  "Simulation wall time of computed requests (us)");
+    registry->add(submitted_, "sps_service_submitted", "",
+                  "Distinct requests queued (post-dedup)");
+    registry->add(memHits_, "sps_service_mem_hits");
+    registry->add(inflightDedup_, "sps_service_inflight_dedup");
+    registry->add(tier_[static_cast<int>(obs::Tier::Disk)],
+                  "sps_service_disk_hits");
+    registry->add(tier_[static_cast<int>(obs::Tier::Compute)],
+                  "sps_service_sims");
 }
 
 ServiceCounters
 EvalService::counters() const
 {
-    ServiceCounters c;
-    c.submitted = submitted_.load(std::memory_order_relaxed);
-    c.memHits = memHits_.load(std::memory_order_relaxed);
-    c.inflightDedup = inflightDedup_.load(std::memory_order_relaxed);
-    c.diskHits = diskHits_.load(std::memory_order_relaxed);
-    c.computed = computed_.load(std::memory_order_relaxed);
-    return c;
-}
-
-void
-EvalService::publishGauges(obs::MetricsRegistry &registry) const
-{
-    ServiceCounters c = counters();
-    auto pub = [&](const char *name, uint64_t v, const char *help = "") {
-        registry.gauge(name, "", help)->set(static_cast<int64_t>(v));
-    };
-    pub("sps_service_submitted", c.submitted,
-        "Distinct requests queued (post-dedup)");
-    pub("sps_service_mem_hits", c.memHits);
-    pub("sps_service_inflight_dedup", c.inflightDedup);
-    pub("sps_service_disk_hits", c.diskHits);
-    pub("sps_service_sims", c.computed);
+    return ServiceCounters{
+        submitted_.value(), memHits_.value(), inflightDedup_.value(),
+        tier_[static_cast<int>(obs::Tier::Disk)].value(),
+        tier_[static_cast<int>(obs::Tier::Compute)].value()};
 }
 
 obs::MetricsSnapshot
-cacheTierSnapshot(const EvalService &service)
+cacheTierSnapshot(EvalService &service)
 {
     obs::MetricsRegistry registry;
-    service.engine().cache().publishGauges(registry);
+    service.engine().cache().attachMetrics(&registry);
     if (service.store())
-        service.store()->publishGauges(registry);
-    service.publishGauges(registry);
+        service.store()->attachMetrics(&registry);
+    service.attachMetrics(&registry);
     return registry.snapshot();
 }
 
 std::vector<std::vector<std::string>>
 cacheStatsRows(const obs::MetricsSnapshot &snap)
 {
-    struct TierGauge
+    struct TierRow
     {
         const char *tier;
         const char *counter;
-        const char *gauge;
+        const char *metric;
     };
-    static constexpr TierGauge kRows[] = {
+    static constexpr TierRow kRows[] = {
         {"schedule_cache", "mem_hits", "sps_sched_cache_hits"},
         {"schedule_cache", "disk_hits", "sps_sched_cache_disk_hits"},
         {"schedule_cache", "compiles", "sps_sched_cache_compiles"},
@@ -502,8 +467,8 @@ cacheStatsRows(const obs::MetricsSnapshot &snap)
         {"eval_service", "sims", "sps_service_sims"},
     };
     std::vector<std::vector<std::string>> rows;
-    for (const TierGauge &r : kRows)
-        if (const obs::MetricSample *m = snap.find(r.gauge))
+    for (const TierRow &r : kRows)
+        if (const obs::MetricSample *m = snap.find(r.metric))
             rows.push_back(
                 {r.tier, r.counter, std::to_string(m->value)});
     return rows;

@@ -27,7 +27,6 @@
 #ifndef SPS_SVC_EVAL_SERVICE_H
 #define SPS_SVC_EVAL_SERVICE_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -175,23 +174,21 @@ class EvalService
     core::EvalEngine &engine() const { return *engine_; }
 
     /**
-     * Publish this service's telemetry into `registry`:
-     * sps_requests_total, per-tier sps_requests_tier_total counters
-     * and sps_request_duration_us histograms (tier = mem / disk /
-     * compute / error), sps_queue_wait_us, sps_sim_duration_us, plus
-     * a collector exporting ServiceCounters as gauges. Conservation:
-     * every submit() increments requests_total and resolves to
-     * exactly one tier, so at quiescence requests_total equals the
-     * sum of the tier counters and of the per-tier histogram counts.
-     * Attach once, at wiring time; the registry must outlive the
-     * service. nullptr detaches.
+     * List this service's metrics in `registry`: sps_requests_total,
+     * per-tier sps_requests_tier_total counters and
+     * sps_request_duration_us histograms (tier = mem / disk /
+     * compute / error), sps_queue_wait_us, sps_sim_duration_us, and
+     * the sps_service_* counters counters() reads. The disk and
+     * compute tier counters are listed twice, as
+     * sps_service_disk_hits / sps_service_sims too: one count per
+     * event. Conservation: every submit() increments requests_total
+     * and resolves to exactly one tier, so at quiescence
+     * requests_total equals the sum of the tier counters and of the
+     * per-tier histogram counts. The metrics record whether or not
+     * anything lists them; the service must outlive the registry's
+     * last snapshot().
      */
     void attachMetrics(obs::MetricsRegistry *registry);
-
-    /** Set the sps_service_* counter gauges in `registry` from
-     *  counters() -- the attachMetrics collector's body, usable on a
-     *  throwaway registry without attaching anything. */
-    void publishGauges(obs::MetricsRegistry &registry) const;
 
   private:
     struct Job
@@ -202,18 +199,6 @@ class EvalService
         std::shared_ptr<obs::RequestSpan> span;
         /** When submit() queued the job (monotonic microseconds). */
         uint64_t enqueueUs = 0;
-    };
-
-    /** Pre-resolved metric handles, indexed by obs::Tier where
-     *  per-tier. Published via an atomic pointer so the hot path is
-     *  one acquire load plus relaxed counter bumps. */
-    struct Metrics
-    {
-        obs::Counter *requests = nullptr;
-        obs::Counter *tier[5] = {};
-        obs::Histogram *durationTier[5] = {};
-        obs::Histogram *queueWait = nullptr;
-        obs::Histogram *simDuration = nullptr;
     };
 
     void dispatchLoop();
@@ -232,32 +217,35 @@ class EvalService
     std::unordered_map<std::string, std::shared_future<sim::SimResult>>
         results_;
 
-    std::atomic<uint64_t> submitted_{0};
-    std::atomic<uint64_t> memHits_{0};
-    std::atomic<uint64_t> inflightDedup_{0};
-    std::atomic<uint64_t> diskHits_{0};
-    std::atomic<uint64_t> computed_{0};
-
-    std::unique_ptr<Metrics> metricsStorage_;
-    std::atomic<Metrics *> metrics_{nullptr};
+    obs::Counter requests_;
+    obs::Counter submitted_;
+    obs::Counter memHits_;
+    obs::Counter inflightDedup_;
+    /** Requests resolved per obs::Tier: tier_[Disk] and
+     *  tier_[Compute] are also the diskHits and computed counts. */
+    obs::Counter tier_[5];
+    obs::Histogram durationTier_[5];
+    obs::Histogram queueWait_;
+    obs::Histogram simDuration_;
 
     std::thread dispatcher_;
 };
 
 /**
- * The cache-tier gauges of `service`, its schedule cache, and its
- * store (when attached), published into a fresh registry and
- * snapshotted -- what an in-process run renders with cacheStatsRows.
+ * A snapshot of `service`, its schedule cache, and its store (when
+ * attached), listed in a throwaway registry -- what an in-process run
+ * renders with cacheStatsRows.
  */
-obs::MetricsSnapshot cacheTierSnapshot(const EvalService &service);
+obs::MetricsSnapshot cacheTierSnapshot(EvalService &service);
 
 /**
  * The cache-tier observability rows (tier, counter, value) of a
  * metrics snapshot: schedule cache, result store, then eval service,
- * one row for each tier gauge the snapshot holds (a snapshot without
- * a store's gauges has no result_store rows). The one renderer behind
- * cache_stats.csv, the bench_headline cache section, and the daemon's
- * shutdown log, in-process or from a MetricsReply alike.
+ * one row for each tier counter the snapshot holds (a snapshot
+ * without a store's counters has no result_store rows). The one
+ * renderer behind cache_stats.csv, the bench_headline cache section,
+ * and the daemon's shutdown log, in-process or from a MetricsReply
+ * alike.
  */
 std::vector<std::vector<std::string>>
 cacheStatsRows(const obs::MetricsSnapshot &snap);

@@ -1,8 +1,8 @@
-// Tests for the service-telemetry metrics registry: handle
-// idempotence, the log2 bucket math, exact count/sum accounting,
-// quantile extraction, collector gauges, both render formats, and the
-// consistency contract of a snapshot taken under concurrent recording
-// (run under TSan in CI).
+// Tests for the service-telemetry metrics registry: listing
+// caller-owned metrics (one series per name and labels, duplicates
+// panic), the log2 bucket math, exact count/sum accounting, quantile
+// extraction, both render formats, and the consistency contract of a
+// snapshot taken under concurrent recording (run under TSan in CI).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -19,15 +19,17 @@ namespace {
 
 TEST(MetricsRegistryTest, CounterAndGaugeBasics)
 {
+    Counter c;
+    Gauge g;
     MetricsRegistry reg;
-    Counter *c = reg.counter("sps_requests_total", "", "requests");
-    Gauge *g = reg.gauge("sps_queue_depth", "", "depth");
-    c->inc();
-    c->inc(4);
-    g->set(7);
-    g->add(-2);
-    EXPECT_EQ(c->value(), 5u);
-    EXPECT_EQ(g->value(), 5);
+    reg.add(c, "sps_requests_total", "", "requests");
+    reg.add(g, "sps_queue_depth", "", "depth");
+    c.inc();
+    c.inc(4);
+    g.set(7);
+    g.add(-2);
+    EXPECT_EQ(c.value(), 5u);
+    EXPECT_EQ(g.value(), 5);
 
     MetricsSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.value("sps_requests_total"), 5);
@@ -40,25 +42,58 @@ TEST(MetricsRegistryTest, CounterAndGaugeBasics)
     EXPECT_EQ(snap.find("sps_requests_total")->help, "requests");
 }
 
-TEST(MetricsRegistryTest, HandlesAreIdempotentPerNameAndLabels)
+TEST(MetricsRegistryTest, OneSeriesPerNameAndLabels)
 {
+    // Labels tell series of one name apart, and one metric may be
+    // listed under two names: both series read the same count.
+    Counter mem, disk;
     MetricsRegistry reg;
-    Counter *a = reg.counter("sps_hits", "tier=\"mem\"");
-    Counter *b = reg.counter("sps_hits", "tier=\"mem\"");
-    Counter *c = reg.counter("sps_hits", "tier=\"disk\"");
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, c);
-    a->inc(3);
-    c->inc(1);
-    EXPECT_EQ(reg.size(), 2u);
+    reg.add(mem, "sps_hits", "tier=\"mem\"");
+    reg.add(disk, "sps_hits", "tier=\"disk\"");
+    reg.add(disk, "sps_disk_hits");
+    mem.inc(3);
+    disk.inc(1);
+    EXPECT_EQ(reg.size(), 3u);
 
     MetricsSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.value("sps_hits", "tier=\"mem\""), 3);
     EXPECT_EQ(snap.value("sps_hits", "tier=\"disk\""), 1);
+    EXPECT_EQ(snap.value("sps_disk_hits"), 1);
+}
 
-    Histogram *h1 = reg.histogram("sps_lat_us");
-    Histogram *h2 = reg.histogram("sps_lat_us");
-    EXPECT_EQ(h1, h2);
+TEST(MetricsRegistryDeathTest, ListingANameAndLabelsTwicePanics)
+{
+    Counter a, b;
+    Gauge g;
+    Histogram h;
+    EXPECT_DEATH(
+        {
+            MetricsRegistry reg;
+            reg.add(a, "sps_hits", "tier=\"mem\"");
+            reg.add(b, "sps_hits", "tier=\"mem\"");
+        },
+        "listed twice");
+    EXPECT_DEATH(
+        {
+            MetricsRegistry reg;
+            reg.add(a, "sps_hits");
+            reg.add(a, "sps_hits");
+        },
+        "listed twice");
+    EXPECT_DEATH(
+        {
+            MetricsRegistry reg;
+            reg.add(a, "sps_thing");
+            reg.add(g, "sps_thing");
+        },
+        "listed twice");
+    EXPECT_DEATH(
+        {
+            MetricsRegistry reg;
+            reg.add(h, "sps_lat_us", "app=\"DEPTH\"");
+            reg.add(a, "sps_lat_us", "app=\"DEPTH\"");
+        },
+        "listed twice");
 }
 
 TEST(HistogramTest, BucketMathCoversTheWholeRange)
@@ -107,15 +142,16 @@ TEST(HistogramTest, ObserveKeepsExactCountAndSum)
 
 TEST(HistogramTest, QuantilesWalkTheBucketRanks)
 {
+    Histogram h;
     MetricsRegistry reg;
-    Histogram *h = reg.histogram("sps_lat_us");
+    reg.add(h, "sps_lat_us");
     // 90 observations in the [1, 2] bucket, 10 in the [511, 1022]
     // bucket: p50 must report the low bucket's ceiling, p95/p99 the
     // high one's.
     for (int i = 0; i < 90; ++i)
-        h->observe(2);
+        h.observe(2);
     for (int i = 0; i < 10; ++i)
-        h->observe(1000);
+        h.observe(1000);
 
     MetricsSnapshot snap = reg.snapshot();
     const MetricSample *m = snap.find("sps_lat_us");
@@ -134,8 +170,9 @@ TEST(HistogramTest, QuantilesWalkTheBucketRanks)
 
 TEST(HistogramTest, EmptyHistogramQuantileIsZero)
 {
+    Histogram h;
     MetricsRegistry reg;
-    reg.histogram("sps_lat_us");
+    reg.add(h, "sps_lat_us");
     MetricsSnapshot snap = reg.snapshot();
     const MetricSample *m = snap.find("sps_lat_us");
     ASSERT_NE(m, nullptr);
@@ -144,27 +181,35 @@ TEST(HistogramTest, EmptyHistogramQuantileIsZero)
     EXPECT_EQ(m->quantile(0.99), 0u);
 }
 
-TEST(MetricsRegistryTest, CollectorPublishesAtSnapshotTime)
+TEST(MetricsRegistryTest, SnapshotReadsCallerOwnedCounterInPlace)
 {
-    // The collector pattern: a subsystem keeps its own cheap counter
-    // and publishes it as a gauge only when someone snapshots.
+    // A component owns its counter and the registry only lists it:
+    // each snapshot reads the count as it stands at that moment,
+    // including counts made before the listing and a reset.
+    Counter owned;
+    owned.inc(11);
     MetricsRegistry reg;
-    std::atomic<int64_t> external{11};
-    reg.addCollector([&] {
-        reg.gauge("sps_external_things", "", "externally counted")
-            ->set(external.load());
-    });
-    EXPECT_EQ(reg.snapshot().value("sps_external_things"), 11);
-    external.store(42);
-    EXPECT_EQ(reg.snapshot().value("sps_external_things"), 42);
+    reg.add(owned, "sps_owned_things", "", "counted by the owner");
+    EXPECT_EQ(reg.snapshot().value("sps_owned_things"), 11);
+    owned.inc(31);
+    EXPECT_EQ(reg.snapshot().value("sps_owned_things"), 42);
+    owned.reset();
+    EXPECT_EQ(reg.snapshot().value("sps_owned_things"), 0);
+    EXPECT_EQ(reg.snapshot().find("sps_owned_things")->help,
+              "counted by the owner");
 }
 
 TEST(MetricsRenderTest, PrometheusEmitsHelpAndTypeOncePerFamily)
 {
+    Counter mem, disk;
+    Gauge depth;
     MetricsRegistry reg;
-    reg.counter("sps_hits", "tier=\"mem\"", "tier hits")->inc(3);
-    reg.counter("sps_hits", "tier=\"disk\"", "tier hits")->inc(1);
-    reg.gauge("sps_depth", "", "queue depth")->set(-2);
+    reg.add(mem, "sps_hits", "tier=\"mem\"", "tier hits");
+    reg.add(disk, "sps_hits", "tier=\"disk\"", "tier hits");
+    reg.add(depth, "sps_depth", "", "queue depth");
+    mem.inc(3);
+    disk.inc(1);
+    depth.set(-2);
     std::string text = renderPrometheus(reg.snapshot());
 
     auto occurrences = [&](const std::string &needle) {
@@ -188,10 +233,11 @@ TEST(MetricsRenderTest, PrometheusEmitsHelpAndTypeOncePerFamily)
 
 TEST(MetricsRenderTest, PrometheusHistogramBucketsAreCumulative)
 {
+    Histogram h;
     MetricsRegistry reg;
-    Histogram *h = reg.histogram("sps_lat_us", "", "latency");
+    reg.add(h, "sps_lat_us", "", "latency");
     for (uint64_t v : {1ull, 1ull, 3ull, 1000ull})
-        h->observe(v);
+        h.observe(v);
     std::string text = renderPrometheus(reg.snapshot());
 
     // observe(1) x2 -> the le="2" bucket; observe(3) -> le="6"
@@ -216,10 +262,16 @@ TEST(MetricsRenderTest, PrometheusHistogramBucketsAreCumulative)
 
 TEST(MetricsRenderTest, PrometheusEveryLineParses)
 {
+    Counter a;
+    Gauge b;
+    Histogram c;
     MetricsRegistry reg;
-    reg.counter("sps_a", "", "a")->inc();
-    reg.gauge("sps_b", "k=\"v\"", "b")->set(9);
-    reg.histogram("sps_c", "", "c")->observe(5);
+    reg.add(a, "sps_a", "", "a");
+    reg.add(b, "sps_b", "k=\"v\"", "b");
+    reg.add(c, "sps_c", "", "c");
+    a.inc();
+    b.set(9);
+    c.observe(5);
     std::string text = renderPrometheus(reg.snapshot());
 
     // Line grammar the CI scrape check relies on: comments start with
@@ -253,11 +305,14 @@ TEST(MetricsRenderTest, PrometheusEveryLineParses)
 
 TEST(MetricsRenderTest, JsonCarriesQuantilesAndEscapes)
 {
+    Histogram h;
+    Counter req;
     MetricsRegistry reg;
-    Histogram *h = reg.histogram("sps_lat_us", "app=\"DEPTH\"");
+    reg.add(h, "sps_lat_us", "app=\"DEPTH\"");
+    reg.add(req, "sps_req");
     for (int i = 0; i < 100; ++i)
-        h->observe(2);
-    reg.counter("sps_req")->inc(7);
+        h.observe(2);
+    req.inc(7);
     std::string json = renderJson(reg.snapshot());
 
     EXPECT_NE(json.find("\"name\": \"sps_lat_us\""),
@@ -272,16 +327,18 @@ TEST(MetricsRenderTest, JsonCarriesQuantilesAndEscapes)
 
 TEST(MetricsConcurrencyTest, SnapshotUnderLoadIsConsistent)
 {
-    // The registration-order contract the service relies on for
-    // conservation: an "outcome" counter registered (and therefore
+    // The listing-order contract the service relies on for
+    // conservation: an "outcome" counter listed (and therefore
     // snapshot-read) before the "started" counter it never exceeds,
     // plus the histogram's buckets-before-count read order, keep
     // every snapshot internally consistent while writers hammer the
     // handles. CI runs this under TSan.
+    Counter done, started;
+    Histogram lat;
     MetricsRegistry reg;
-    Counter *done = reg.counter("sps_done_total");
-    Counter *started = reg.counter("sps_started_total");
-    Histogram *lat = reg.histogram("sps_lat_us");
+    reg.add(done, "sps_done_total");
+    reg.add(started, "sps_started_total");
+    reg.add(lat, "sps_lat_us");
 
     constexpr int kThreads = 4;
     constexpr uint64_t kPerThread = 20000;
@@ -292,9 +349,9 @@ TEST(MetricsConcurrencyTest, SnapshotUnderLoadIsConsistent)
             while (!go.load())
                 std::this_thread::yield();
             for (uint64_t i = 0; i < kPerThread; ++i) {
-                started->inc();
-                lat->observe(i % 1024);
-                done->inc();
+                started.inc();
+                lat.observe(i % 1024);
+                done.inc();
             }
         });
     go.store(true);
@@ -343,10 +400,12 @@ TEST(MetricsConcurrencyTest, LongSnapshotStressStaysConsistent)
     // run. Each snapshot must keep the same bounds, and its Prometheus
     // rendering must stay a valid cumulative series: non-decreasing
     // le buckets ending in +Inf == _count.
+    Counter done, started;
+    Histogram lat;
     MetricsRegistry reg;
-    Counter *done = reg.counter("sps_done_total");
-    Counter *started = reg.counter("sps_started_total");
-    Histogram *lat = reg.histogram("sps_lat_us");
+    reg.add(done, "sps_done_total");
+    reg.add(started, "sps_started_total");
+    reg.add(lat, "sps_lat_us");
 
     constexpr int kThreads = 6;
     constexpr uint64_t kPerThread = 200000;
@@ -358,9 +417,9 @@ TEST(MetricsConcurrencyTest, LongSnapshotStressStaysConsistent)
             while (!go.load())
                 std::this_thread::yield();
             for (uint64_t i = 0; i < kPerThread; ++i) {
-                started->inc();
-                lat->observe((i * 2654435761u + t) >> (i % 40));
-                done->inc();
+                started.inc();
+                lat.observe((i * 2654435761u + t) >> (i % 40));
+                done.inc();
             }
             running.fetch_sub(1);
         });

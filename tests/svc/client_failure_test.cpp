@@ -63,7 +63,7 @@ errorBytes(const std::string &message)
 class FakeServer
 {
   public:
-    explicit FakeServer(const std::string &path)
+    explicit FakeServer(const std::string &path) : path_(path)
     {
         listen_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
         EXPECT_GE(listen_, 0);
@@ -81,6 +81,7 @@ class FakeServer
     {
         join();
         ::close(listen_);
+        EXPECT_EQ(::unlink(path_.c_str()), 0) << path_;
     }
 
     /** Accept one client, send the scripted frames, then either hang
@@ -116,6 +117,7 @@ class FakeServer
     }
 
   private:
+    std::string path_;
     int listen_ = -1;
     std::thread thread_;
 };

@@ -250,13 +250,17 @@ sampleSnapshot()
 {
     // One of each kind, with labels, help, and a populated histogram
     // -- the shape a live daemon scrape actually carries.
+    obs::Counter requests;
+    obs::Gauge depth;
+    obs::Histogram latency;
     obs::MetricsRegistry reg;
-    reg.counter("sps_requests_total", "", "requests")->inc(42);
-    reg.gauge("sps_queue_depth", "app=\"DEPTH\"", "depth")->set(-3);
-    obs::Histogram *h =
-        reg.histogram("sps_request_duration_us", "tier=\"compute\"");
+    reg.add(requests, "sps_requests_total", "", "requests");
+    reg.add(depth, "sps_queue_depth", "app=\"DEPTH\"", "depth");
+    reg.add(latency, "sps_request_duration_us", "tier=\"compute\"");
+    requests.inc(42);
+    depth.set(-3);
     for (uint64_t v : {1ull, 7ull, 7ull, 900ull, 1000000ull})
-        h->observe(v);
+        latency.observe(v);
     return reg.snapshot();
 }
 
@@ -318,8 +322,9 @@ TEST(EvalProtocolTest, MetricsSnapshotEveryTruncationRejected)
 
 TEST(EvalProtocolTest, MetricsSnapshotUnknownKindRejected)
 {
+    obs::Counter a;
     obs::MetricsRegistry reg;
-    reg.counter("sps_a");
+    reg.add(a, "sps_a");
     store::ByteWriter w;
     encodeMetricsSnapshot(reg.snapshot(), &w);
     std::vector<uint8_t> bytes = w.bytes();

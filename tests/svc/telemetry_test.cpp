@@ -1,10 +1,13 @@
 // End-to-end telemetry tests: the conservation invariant
 // (requests_total == mem + disk + compute + error, per-tier histogram
-// counts matching tier counters), snapshot consistency under a
-// concurrent submit storm (TSan-covered in CI), the MetricsRequest
-// round trip through server and client, the server-side span
-// pipeline behind the slow-request log and the Chrome-trace export,
-// and the cache-tier rows rendered from a snapshot.
+// counts matching tier counters), one counter per event (counters()
+// and every series that lists an event read the same count), metrics
+// that record before and after any registry lists them, snapshot
+// consistency under a concurrent submit storm (TSan-covered in CI),
+// the MetricsRequest round trip through server and client, the
+// server-side span pipeline behind the slow-request log and the
+// Chrome-trace export, and the cache-tier rows rendered from a
+// snapshot.
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
@@ -19,10 +22,12 @@
 
 #include "core/eval_engine.h"
 #include "obs/metrics.h"
+#include "sched/schedule_cache.h"
 #include "svc/eval_client.h"
 #include "svc/eval_server.h"
 #include "svc/eval_service.h"
 #include "trace/tracer.h"
+#include "workloads/suite.h"
 
 namespace sps::svc {
 namespace {
@@ -103,7 +108,7 @@ TEST(ServiceTelemetryTest, ConservationAcrossMemComputeAndError)
     ASSERT_NE(sim, nullptr);
     EXPECT_EQ(sim->count, 1u);
 
-    // The collector gauges mirror the service's own counters.
+    // The sps_service_* series read the service's own counters.
     ServiceCounters c = service.counters();
     EXPECT_EQ(snap.value("sps_service_submitted"),
               static_cast<int64_t>(c.submitted));
@@ -146,6 +151,130 @@ TEST(ServiceTelemetryTest, DiskTierCountsInConservation)
     ASSERT_NE(get, nullptr);
     EXPECT_GE(get->count, 1u);
     EXPECT_GE(snap.value("sps_store_hits"), 1);
+}
+
+TEST(ServiceTelemetryTest, ServiceCountersAndTierSeriesAreOneCount)
+{
+    // A sweep that mixes disk and compute outcomes (and a memory hit):
+    // sps_service_disk_hits / sps_service_sims and the disk / compute
+    // tier series list the same counters, so they agree with each
+    // other and with counters() exactly.
+    std::string root = freshRoot("onecount");
+    {
+        store::ResultStore cold(root);
+        core::EvalEngine engine(2);
+        EvalService service(&engine, &cold);
+        service.eval(kPoint);
+    }
+    obs::MetricsRegistry reg;
+    store::ResultStore warm(root);
+    core::EvalEngine engine(2);
+    EvalService service(&engine, &warm);
+    service.attachMetrics(&reg);
+    service.eval(kPoint);                      // disk
+    service.eval({"QRD", {8, 5}, {}});         // compute
+    service.eval({"DEPTH", {16, 5}, {}});      // compute
+    service.eval({"DEPTH", {16, 5}, {}});      // mem
+
+    obs::MetricsSnapshot snap = reg.snapshot();
+    ServiceCounters c = service.counters();
+    EXPECT_EQ(c.diskHits, 1u);
+    EXPECT_EQ(c.computed, 2u);
+    EXPECT_EQ(snap.value("sps_service_disk_hits"),
+              static_cast<int64_t>(c.diskHits));
+    EXPECT_EQ(tierCounter(snap, "disk"), c.diskHits);
+    EXPECT_EQ(snap.value("sps_service_sims"),
+              static_cast<int64_t>(c.computed));
+    EXPECT_EQ(tierCounter(snap, "compute"), c.computed);
+    EXPECT_EQ(tierCounter(snap, "mem"), c.memHits + c.inflightDedup);
+}
+
+TEST(ServiceTelemetryTest, LateListedMetricsShowEarlierEvents)
+{
+    // Metrics record from construction, so a store and a cache that
+    // worked before anything listed them show that work in the first
+    // snapshot: counts and histograms alike.
+    std::string root = freshRoot("late");
+    store::ResultStore store(root);
+    store::Key key{store::Kind::Schedule, 1, 2, 3};
+    ASSERT_TRUE(store.put(key, {1, 2, 3}));
+    constexpr int kGets = 3;
+    std::vector<uint8_t> payload;
+    for (int i = 0; i < kGets; ++i)
+        ASSERT_TRUE(store.get(key, &payload));
+    sched::ScheduleCache cache;
+    sched::MachineModel m =
+        sched::MachineModel::forSize(vlsi::MachineSize{8, 5});
+    cache.get(workloads::convolveKernel(), m);
+    cache.get(workloads::convolveKernel(), m);
+
+    obs::MetricsRegistry reg;
+    store.attachMetrics(&reg);
+    cache.attachMetrics(&reg);
+    obs::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.value("sps_store_hits"), kGets);
+    const obs::MetricSample *hit =
+        snap.find("sps_store_get_duration_us", "result=\"hit\"");
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->count, static_cast<uint64_t>(kGets));
+    const obs::MetricSample *put = snap.find("sps_store_put_duration_us");
+    ASSERT_NE(put, nullptr);
+    EXPECT_EQ(put->count, 1u);
+    EXPECT_EQ(snap.value("sps_store_writes"), 1);
+    EXPECT_EQ(snap.value("sps_sched_cache_compiles"), 1);
+    EXPECT_EQ(snap.value("sps_sched_cache_hits"), 1);
+    EXPECT_EQ(snap.value("sps_sched_cache_entries"), 1);
+    const obs::MetricSample *compile =
+        snap.find("sps_sched_compile_duration_us");
+    ASSERT_NE(compile, nullptr);
+    EXPECT_EQ(compile->count, 1u);
+
+    // clear() restarts the cache's counts and its entry gauge.
+    cache.clear();
+    snap = reg.snapshot();
+    EXPECT_EQ(snap.value("sps_sched_cache_compiles"), 0);
+    EXPECT_EQ(snap.value("sps_sched_cache_hits"), 0);
+    EXPECT_EQ(snap.value("sps_sched_cache_entries"), 0);
+}
+
+TEST(ServiceTelemetryTest, RegistryMayDieBeforeItsComponents)
+{
+    // Nothing points from a component into a registry: once the
+    // registry is gone, gets, puts and compiles record into the
+    // components' own metrics (ASan would flag any write into the
+    // dead registry).
+    std::string root = freshRoot("registry_dies");
+    store::ResultStore store(root);
+    sched::ScheduleCache cache;
+    cache.attachStore(&store);
+    {
+        obs::MetricsRegistry reg;
+        store.attachMetrics(&reg);
+        cache.attachMetrics(&reg);
+        EXPECT_EQ(reg.snapshot().value("sps_store_hits"), 0);
+    }
+    store::Key key{store::Kind::Schedule, 1, 2, 3};
+    std::vector<uint8_t> payload;
+    EXPECT_FALSE(store.get(key, &payload));
+    EXPECT_TRUE(store.put(key, {1, 2, 3}));
+    EXPECT_TRUE(store.get(key, &payload));
+    sched::MachineModel m =
+        sched::MachineModel::forSize(vlsi::MachineSize{8, 5});
+    cache.get(workloads::convolveKernel(), m);
+    cache.attachStore(nullptr);
+
+    obs::MetricsRegistry fresh;
+    store.attachMetrics(&fresh);
+    cache.attachMetrics(&fresh);
+    obs::MetricsSnapshot snap = fresh.snapshot();
+    EXPECT_EQ(snap.value("sps_store_hits"), 1);
+    // The compile's own lookup missed, and its write-back is the
+    // second put.
+    EXPECT_EQ(snap.value("sps_store_misses"), 2);
+    EXPECT_EQ(snap.value("sps_store_writes"), 2);
+    EXPECT_EQ(snap.value("sps_sched_cache_compiles"), 1);
+    EXPECT_EQ(snap.find("sps_store_put_duration_us")->count, 2u);
+    EXPECT_EQ(snap.find("sps_sched_compile_duration_us")->count, 1u);
 }
 
 TEST(ServiceTelemetryTest, SnapshotsStayConsistentUnderSubmitStorm)
@@ -384,7 +513,7 @@ TEST(CacheTierRowsTest, RowsFollowTheGaugesTheSnapshotHolds)
 
 TEST(CacheTierRowsTest, AttachedRegistryRendersTheSameRows)
 {
-    // A daemon's registry (collectors attached, histograms and all)
+    // A daemon's registry (every component listed, histograms and all)
     // and a throwaway snapshot of the same components agree row for
     // row: the --server and in-process cache_stats.csv share one
     // source.
@@ -405,8 +534,6 @@ TEST(CacheTierRowsTest, AttachedRegistryRendersTheSameRows)
         Rows attached = cacheStatsRows(reg.snapshot());
         EXPECT_EQ(attached.size(), 15u);
         EXPECT_EQ(attached, cacheStatsRows(cacheTierSnapshot(service)));
-        cache.attachMetrics(nullptr);
-        store.attachMetrics(nullptr);
     }
     cache.attachStore(nullptr);
     cache.clear();
