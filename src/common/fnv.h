@@ -1,18 +1,20 @@
 /**
  * @file
  * FNV-1a incremental hasher shared by the structural caches (the
- * schedule cache and the lowered-kernel cache). 64-bit, byte-at-a-time,
- * deterministic across platforms.
+ * schedule cache and the lowered-kernel cache), the store and frame
+ * checksums, and simConfigHash. 64-bit, byte-at-a-time, deterministic
+ * across platforms.
  */
 #ifndef SPS_COMMON_FNV_H
 #define SPS_COMMON_FNV_H
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace sps {
 
-/** Incremental FNV-1a over 64-bit words and strings. */
+/** Incremental FNV-1a over byte ranges, 64-bit words and strings. */
 struct Fnv
 {
     static constexpr uint64_t kOffset = 0xcbf29ce484222325ull;
@@ -20,6 +22,16 @@ struct Fnv
 
     uint64_t h = kOffset;
 
+    void
+    mix(const uint8_t *data, size_t n)
+    {
+        for (size_t i = 0; i < n; ++i) {
+            h ^= data[i];
+            h *= kPrime;
+        }
+    }
+
+    /** The 8 little-endian bytes of v. */
     void
     mix(uint64_t v)
     {
@@ -29,14 +41,12 @@ struct Fnv
         }
     }
 
+    /** Length-prefixed, so ("ab","c") and ("a","bc") differ. */
     void
-    mix(const std::string &s)
+    mix(std::string_view s)
     {
         mix(static_cast<uint64_t>(s.size()));
-        for (char c : s) {
-            h ^= static_cast<uint8_t>(c);
-            h *= kPrime;
-        }
+        mix(reinterpret_cast<const uint8_t *>(s.data()), s.size());
     }
 };
 

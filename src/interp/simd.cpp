@@ -115,11 +115,8 @@ bestSimdBackend()
 }
 
 SimdBackend
-resolveSimdBackend(const char *scalar_env, const char *backend_env)
+resolveSimdBackend(const char *backend_env)
 {
-    if (scalar_env != nullptr && scalar_env[0] != '\0' &&
-        std::string_view(scalar_env) != "0")
-        return SimdBackend::Scalar;
     if (backend_env != nullptr) {
         SimdBackend requested;
         if (parseSimdBackend(backend_env, &requested)) {
@@ -139,8 +136,7 @@ SimdBackend
 defaultSimdBackend()
 {
     static const SimdBackend b =
-        resolveSimdBackend(std::getenv("SPS_INTERP_SCALAR"),
-                           std::getenv("SPS_INTERP_BACKEND"));
+        resolveSimdBackend(std::getenv("SPS_INTERP_BACKEND"));
     return b;
 }
 

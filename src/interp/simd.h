@@ -18,11 +18,11 @@
  * scalar expression the scalar engine uses, so equality holds by
  * construction. See DESIGN.md "SIMD backend".
  *
- * Escape hatch: SPS_INTERP_SCALAR=1 in the environment forces the
- * scalar span executor; SPS_INTERP_BACKEND=scalar|sse2|avx2 pins a
- * specific tier; SPS_INTERP_FUSION=off|partial pins the megastrip
- * fusion policy. Per call, the runKernel overloads taking a
- * SimdBackend (and FusionPolicy) pin both.
+ * Escape hatch: SPS_INTERP_BACKEND=scalar|sse2|avx2 in the environment
+ * pins a tier (scalar forces the scalar span executor);
+ * SPS_INTERP_FUSION=off|partial pins the megastrip fusion policy. Per
+ * call, the runKernel overloads taking a SimdBackend (and
+ * FusionPolicy) pin both.
  */
 #ifndef SPS_INTERP_SIMD_H
 #define SPS_INTERP_SIMD_H
@@ -58,15 +58,12 @@ std::vector<SimdBackend> availableSimdBackends();
 SimdBackend bestSimdBackend();
 
 /**
- * Pure selection policy (unit-testable): `scalar_env` /`backend_env`
- * are the values of SPS_INTERP_SCALAR / SPS_INTERP_BACKEND (null when
- * unset). A non-empty SPS_INTERP_SCALAR other than "0" wins and forces
- * Scalar; otherwise a recognized SPS_INTERP_BACKEND is used (clamped
- * to the best supported tier at or below it); otherwise the best
- * supported backend.
+ * Pure selection policy (unit-testable): `backend_env` is the value of
+ * SPS_INTERP_BACKEND (null when unset). A recognized name is used,
+ * clamped to the best supported tier at or below it; anything else
+ * resolves to the best supported backend.
  */
-SimdBackend resolveSimdBackend(const char *scalar_env,
-                               const char *backend_env);
+SimdBackend resolveSimdBackend(const char *backend_env);
 
 /** Process-wide default: resolveSimdBackend over the real
  *  environment, resolved once on first use. */

@@ -18,8 +18,9 @@
 
 namespace sps::sim {
 
-/** Coarse class of one stream-level op (for timeline/trace export). */
-enum class OpClass { Load, Store, Kernel, Other };
+/** Coarse class of one stream-level op (for timeline/trace export).
+ *  The underlying type is its width in the store codec. */
+enum class OpClass : uint8_t { Load, Store, Kernel, Other };
 
 /** Start/end cycle of one stream-level operation. */
 struct OpInterval

@@ -1,5 +1,8 @@
 #include "store/codec.h"
 
+#include <mutex>
+#include <unordered_set>
+
 #include "common/fnv.h"
 
 namespace sps::store {
@@ -7,184 +10,101 @@ namespace sps::store {
 uint64_t
 fnv1aBytes(const uint8_t *data, size_t n)
 {
-    uint64_t h = Fnv::kOffset;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= Fnv::kPrime;
-    }
-    return h;
+    Fnv f;
+    f.mix(data, n);
+    return f.h;
+}
+
+void
+ByteReader::get(const char *&s)
+{
+    // Node-based set: c_str() pointers stay valid across inserts.
+    static std::mutex mu;
+    static std::unordered_set<std::string> interned;
+    std::string text;
+    get(text);
+    if (!ok_)
+        return;
+    std::lock_guard<std::mutex> lock(mu);
+    s = interned.insert(std::move(text)).first->c_str();
 }
 
 namespace {
 
-// Guard against decoding a hostile length prefix into an allocation:
-// no real timeline or channel list comes close to this.
-constexpr uint64_t kMaxVectorElems = 1u << 28;
+// --- Field walkers, one per record, in wire order. ---
 
+template <MaybeConst<sim::OpInterval> R, class V>
 void
-putInterval(const sim::OpInterval &iv, ByteWriter *w)
+walk(R &iv, V &v)
 {
-    w->i64(iv.start);
-    w->i64(iv.end);
-    w->str(iv.label);
-    w->i32(iv.opId);
-    w->u8(static_cast<uint8_t>(iv.kind));
-    w->i64(iv.sbWaitStart);
-    w->i64(iv.issueStart);
-    w->i64(iv.issueEnd);
-    w->i64(iv.readyCycle);
+    v(iv.start, iv.end, iv.label, iv.opId);
+    v.tag(iv.kind, sim::OpClass::Load, sim::OpClass::Other);
+    v(iv.sbWaitStart, iv.issueStart, iv.issueEnd, iv.readyCycle);
 }
 
-bool
-getInterval(ByteReader *r, sim::OpInterval *iv)
-{
-    uint8_t kind = 0;
-    bool ok = r->i64(&iv->start) && r->i64(&iv->end) &&
-              r->str(&iv->label) && r->i32(&iv->opId) && r->u8(&kind) &&
-              r->i64(&iv->sbWaitStart) && r->i64(&iv->issueStart) &&
-              r->i64(&iv->issueEnd) && r->i64(&iv->readyCycle);
-    if (!ok || kind > static_cast<uint8_t>(sim::OpClass::Other))
-        return false;
-    iv->kind = static_cast<sim::OpClass>(kind);
-    return true;
-}
-
+template <MaybeConst<sim::SimCounters> R, class V>
 void
-putCounters(const sim::SimCounters &c, ByteWriter *w)
+walk(R &c, V &v)
 {
-    w->i64(c.kernelOnlyCycles);
-    w->i64(c.memOnlyCycles);
-    w->i64(c.overlapCycles);
-    w->i64(c.idleCycles);
-    w->i64(c.kernelCalls);
-    w->i64(c.loads);
-    w->i64(c.stores);
-    w->i64(c.hostIssueBusyCycles);
-    w->i64(c.scoreboardStallCycles);
-    w->i64(c.depStallCycles);
-    w->i64(c.memPipeStallCycles);
-    w->i64(c.ucPipeStallCycles);
-    w->i64(c.ucOverheadCycles);
-    w->i64(c.aluIssueSlots);
-    w->i64(c.kernelAluSlots);
-    w->i64(c.clusterFuOps);
-    w->i64(c.clusterSpOps);
-    w->i64(c.interCommWords);
-    w->i64(c.srfReadWords);
-    w->i64(c.srfWriteWords);
-    w->i64(c.memStoreWords);
-    w->i64(c.srfBwStallCycles);
-    w->i64(c.dramAccesses);
-    w->i64(c.dramRowHits);
-    w->i64(c.dramRowMisses);
-    w->i64(c.dramBankConflicts);
-    w->i64(c.dramReorderSum);
-    w->i64(c.dramReorderMax);
-    w->i64(c.memAliasStallCycles);
-    w->u64(c.dramChannelBusyCycles.size());
-    for (int64_t v : c.dramChannelBusyCycles)
-        w->i64(v);
+    v(c.kernelOnlyCycles, c.memOnlyCycles, c.overlapCycles, c.idleCycles,
+      c.kernelCalls, c.loads, c.stores, c.hostIssueBusyCycles,
+      c.scoreboardStallCycles, c.depStallCycles, c.memPipeStallCycles,
+      c.ucPipeStallCycles, c.ucOverheadCycles, c.aluIssueSlots,
+      c.kernelAluSlots, c.clusterFuOps, c.clusterSpOps, c.interCommWords,
+      c.srfReadWords, c.srfWriteWords, c.memStoreWords,
+      c.srfBwStallCycles, c.dramAccesses, c.dramRowHits, c.dramRowMisses,
+      c.dramBankConflicts, c.dramReorderSum, c.dramReorderMax,
+      c.memAliasStallCycles);
+    v.seq(c.dramChannelBusyCycles, [&v](auto &busy) { v(busy); });
 }
 
-bool
-getCounters(ByteReader *r, sim::SimCounters *c)
-{
-    bool ok =
-        r->i64(&c->kernelOnlyCycles) && r->i64(&c->memOnlyCycles) &&
-        r->i64(&c->overlapCycles) && r->i64(&c->idleCycles) &&
-        r->i64(&c->kernelCalls) && r->i64(&c->loads) &&
-        r->i64(&c->stores) && r->i64(&c->hostIssueBusyCycles) &&
-        r->i64(&c->scoreboardStallCycles) && r->i64(&c->depStallCycles) &&
-        r->i64(&c->memPipeStallCycles) && r->i64(&c->ucPipeStallCycles) &&
-        r->i64(&c->ucOverheadCycles) && r->i64(&c->aluIssueSlots) &&
-        r->i64(&c->kernelAluSlots) && r->i64(&c->clusterFuOps) &&
-        r->i64(&c->clusterSpOps) && r->i64(&c->interCommWords) &&
-        r->i64(&c->srfReadWords) && r->i64(&c->srfWriteWords) &&
-        r->i64(&c->memStoreWords) && r->i64(&c->srfBwStallCycles) &&
-        r->i64(&c->dramAccesses) && r->i64(&c->dramRowHits) &&
-        r->i64(&c->dramRowMisses) && r->i64(&c->dramBankConflicts) &&
-        r->i64(&c->dramReorderSum) && r->i64(&c->dramReorderMax) &&
-        r->i64(&c->memAliasStallCycles);
-    if (!ok)
-        return false;
-    uint64_t n = 0;
-    if (!r->u64(&n) || n > kMaxVectorElems)
-        return false;
-    c->dramChannelBusyCycles.resize(static_cast<size_t>(n));
-    for (auto &v : c->dramChannelBusyCycles)
-        if (!r->i64(&v))
-            return false;
-    return true;
-}
-
+template <MaybeConst<energy::ComponentEnergy> R, class V>
 void
-putComponent(const energy::ComponentEnergy &c, ByteWriter *w)
+walk(R &c, V &v)
 {
-    w->f64(c.dynamicEw);
-    w->f64(c.idleEw);
+    v(c.dynamicEw, c.idleEw);
 }
 
-bool
-getComponent(ByteReader *r, energy::ComponentEnergy *c)
-{
-    return r->f64(&c->dynamicEw) && r->f64(&c->idleEw);
-}
-
+template <MaybeConst<energy::EnergyReport> R, class V>
 void
-putEnergy(const energy::EnergyReport &e, ByteWriter *w)
+walk(R &e, V &v)
 {
-    w->u8(e.valid ? 1 : 0);
-    putComponent(e.srf, w);
-    putComponent(e.clusters, w);
-    putComponent(e.microcontroller, w);
-    putComponent(e.interclusterComm, w);
-    putComponent(e.dram, w);
-    w->i64(e.cycles);
-    w->i64(e.aluOps);
-    w->i64(e.outputWords);
-    w->f64(e.ewToJoules);
-    w->f64(e.clockGHz);
+    v.tag(e.valid, false, true);
+    for (auto *c : {&e.srf, &e.clusters, &e.microcontroller,
+                    &e.interclusterComm, &e.dram})
+        walk(*c, v);
+    v(e.cycles, e.aluOps, e.outputWords, e.ewToJoules, e.clockGHz);
 }
 
-bool
-getEnergy(ByteReader *r, energy::EnergyReport *e)
-{
-    uint8_t valid = 0;
-    bool ok = r->u8(&valid) && valid <= 1 &&
-              getComponent(r, &e->srf) && getComponent(r, &e->clusters) &&
-              getComponent(r, &e->microcontroller) &&
-              getComponent(r, &e->interclusterComm) &&
-              getComponent(r, &e->dram) && r->i64(&e->cycles) &&
-              r->i64(&e->aluOps) && r->i64(&e->outputWords) &&
-              r->f64(&e->ewToJoules) && r->f64(&e->clockGHz);
-    e->valid = valid != 0;
-    return ok;
-}
-
+template <MaybeConst<analysis::BottleneckReport> R, class V>
 void
-putBottleneck(const analysis::BottleneckReport &b, ByteWriter *w)
+walk(R &b, V &v)
 {
-    w->u8(b.valid ? 1 : 0);
-    w->i64(b.kernelBoundCycles);
-    w->i64(b.memoryBoundCycles);
-    w->i64(b.dependenceCycles);
-    w->i64(b.scoreboardCycles);
-    w->i64(b.hostIssueCycles);
-    w->i64(b.idleCycles);
+    v.tag(b.valid, false, true);
+    v(b.kernelBoundCycles, b.memoryBoundCycles, b.dependenceCycles,
+      b.scoreboardCycles, b.hostIssueCycles, b.idleCycles);
 }
 
-bool
-getBottleneck(ByteReader *r, analysis::BottleneckReport *b)
+template <MaybeConst<sim::SimResult> R, class V>
+void
+walk(R &res, V &v)
 {
-    uint8_t valid = 0;
-    bool ok = r->u8(&valid) && valid <= 1 &&
-              r->i64(&b->kernelBoundCycles) &&
-              r->i64(&b->memoryBoundCycles) &&
-              r->i64(&b->dependenceCycles) &&
-              r->i64(&b->scoreboardCycles) &&
-              r->i64(&b->hostIssueCycles) && r->i64(&b->idleCycles);
-    b->valid = valid != 0;
-    return ok;
+    v(res.cycles, res.aluOps, res.gopsOps, res.memWords, res.memBusy,
+      res.ucBusy, res.srfHighWater);
+    v.seq(res.timeline, [&v](auto &iv) { walk(iv, v); });
+    walk(res.counters, v);
+    walk(res.energy, v);
+    walk(res.bottleneck, v);
+}
+
+template <MaybeConst<sched::CompiledKernel> R, class V>
+void
+walk(R &ck, V &v)
+{
+    v(ck.unroll, ck.ii, ck.stages, ck.length, ck.listLength, ck.ii1,
+      ck.stages1, ck.length1, ck.aluOpsPerIteration,
+      ck.gopsOpsPerIteration, ck.commOpsPerIteration,
+      ck.spOpsPerIteration, ck.srfAccessesPerIteration);
 }
 
 } // namespace
@@ -192,19 +112,7 @@ getBottleneck(ByteReader *r, analysis::BottleneckReport *b)
 void
 encodeCompiledKernel(const sched::CompiledKernel &ck, ByteWriter *w)
 {
-    w->i32(ck.unroll);
-    w->i32(ck.ii);
-    w->i32(ck.stages);
-    w->i32(ck.length);
-    w->i32(ck.listLength);
-    w->i32(ck.ii1);
-    w->i32(ck.stages1);
-    w->i32(ck.length1);
-    w->i32(ck.aluOpsPerIteration);
-    w->f64(ck.gopsOpsPerIteration);
-    w->i32(ck.commOpsPerIteration);
-    w->i32(ck.spOpsPerIteration);
-    w->i32(ck.srfAccessesPerIteration);
+    walk(ck, *w);
 }
 
 bool
@@ -213,36 +121,14 @@ decodeCompiledKernel(const std::vector<uint8_t> &bytes,
 {
     ByteReader r(bytes);
     sched::CompiledKernel ck;
-    bool ok = r.i32(&ck.unroll) && r.i32(&ck.ii) && r.i32(&ck.stages) &&
-              r.i32(&ck.length) && r.i32(&ck.listLength) &&
-              r.i32(&ck.ii1) && r.i32(&ck.stages1) &&
-              r.i32(&ck.length1) && r.i32(&ck.aluOpsPerIteration) &&
-              r.f64(&ck.gopsOpsPerIteration) &&
-              r.i32(&ck.commOpsPerIteration) &&
-              r.i32(&ck.spOpsPerIteration) &&
-              r.i32(&ck.srfAccessesPerIteration);
-    if (!ok || !r.done())
-        return false;
-    *out = ck;
-    return true;
+    walk(ck, r);
+    return commit(r, ck, out);
 }
 
 void
 encodeSimResult(const sim::SimResult &res, ByteWriter *w)
 {
-    w->i64(res.cycles);
-    w->i64(res.aluOps);
-    w->f64(res.gopsOps);
-    w->i64(res.memWords);
-    w->i64(res.memBusy);
-    w->i64(res.ucBusy);
-    w->i64(res.srfHighWater);
-    w->u64(res.timeline.size());
-    for (const sim::OpInterval &iv : res.timeline)
-        putInterval(iv, w);
-    putCounters(res.counters, w);
-    putEnergy(res.energy, w);
-    putBottleneck(res.bottleneck, w);
+    walk(res, *w);
 }
 
 bool
@@ -250,24 +136,8 @@ decodeSimResult(const std::vector<uint8_t> &bytes, sim::SimResult *out)
 {
     ByteReader r(bytes);
     sim::SimResult res;
-    bool ok = r.i64(&res.cycles) && r.i64(&res.aluOps) &&
-              r.f64(&res.gopsOps) && r.i64(&res.memWords) &&
-              r.i64(&res.memBusy) && r.i64(&res.ucBusy) &&
-              r.i64(&res.srfHighWater);
-    if (!ok)
-        return false;
-    uint64_t n = 0;
-    if (!r.u64(&n) || n > kMaxVectorElems)
-        return false;
-    res.timeline.resize(static_cast<size_t>(n));
-    for (auto &iv : res.timeline)
-        if (!getInterval(&r, &iv))
-            return false;
-    if (!getCounters(&r, &res.counters) || !getEnergy(&r, &res.energy) ||
-        !getBottleneck(&r, &res.bottleneck) || !r.done())
-        return false;
-    *out = std::move(res);
-    return true;
+    walk(res, r);
+    return commit(r, res, out);
 }
 
 } // namespace sps::store

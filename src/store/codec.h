@@ -7,20 +7,45 @@
  * IEEE-754 bit patterns so a decoded result is *bit-identical* to the
  * computed one (warm runs reproduce cold-run CSVs byte for byte).
  *
- * Every reader is bounds-checked: decoding a truncated or oversized
- * buffer fails cleanly (decode* returns false) instead of returning a
- * partially-filled result, so the store can treat any damaged entry
- * as a miss. kStoreSchemaVersion is stamped into every store entry
- * header; bump it whenever a field is added, removed, reordered, or
- * retyped in any codec below, which silently invalidates (misses) all
- * previously persisted entries.
+ * Every record's fields are listed exactly once, by a field walker
+ * `walk(record, visitor)` that names them in wire order (codec.cpp for
+ * the store records, svc/protocol.cpp for the wire records). Encoding
+ * is that walk with a ByteWriter and decoding the same walk with a
+ * ByteReader, so the two cannot disagree on a field's order or width.
+ * A walker may call, on its visitor `v`:
+ *  - `v(fields...)`: each field by its C++ type -- int32_t 4 bytes,
+ *    int64_t/uint64_t 8, uint32_t 4, uint8_t 1, double its 8 raw bits,
+ *    std::string / const char * a u64 length then the bytes;
+ *  - `v.tag(x, first, last)`: an enum (carried as its underlying type)
+ *    or a bool (one byte); decoding rejects a value outside
+ *    [first, last];
+ *  - `v.seq(vector, each)`: a u64 count, then each(element);
+ *  - `v.opt(optional, each)`: a presence tag, then each(value).
+ *
+ * Decoding is reject-or-truth: the reader is sticky (after the first
+ * short read, bad tag or bad count every later read fails), every
+ * decoded count is bounded by the bytes left, and commit() hands a
+ * record out only if the walk consumed the whole buffer without
+ * error. So a truncated, oversized or garbled buffer never yields a
+ * partially-filled result, and the store treats any damaged entry as
+ * a miss. kStoreSchemaVersion is stamped into every store entry
+ * header; bump it whenever a walker adds, removes or reorders a
+ * field, or a walked field changes its C++ type (the wire width
+ * follows the type), which silently invalidates (misses) all
+ * previously persisted entries. CodecFormatTest pins every encoding,
+ * so such a change cannot land unnoticed.
  */
 #ifndef SPS_STORE_CODEC_H
 #define SPS_STORE_CODEC_H
 
+#include <bit>
+#include <concepts>
 #include <cstdint>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sched/kernel_perf.h"
@@ -38,156 +63,199 @@ inline constexpr uint32_t kStoreSchemaVersion = 1;
 /** FNV-1a over a raw byte range (per-entry payload checksum). */
 uint64_t fnv1aBytes(const uint8_t *data, size_t n);
 
-/** Little-endian byte-at-a-time encoder. */
+/** R is T or const T: one walker serves the encoder (which walks a
+ *  const record) and the decoder (which fills a mutable one). */
+template <class R, class T>
+concept MaybeConst = std::same_as<std::remove_const_t<R>, T>;
+
+/** Wire integer of a tag: an enum's underlying type, a byte for a
+ *  bool. */
+template <class T>
+struct TagWire
+{
+    using type = std::underlying_type_t<T>;
+};
+template <>
+struct TagWire<bool>
+{
+    using type = uint8_t;
+};
+
+/** Little-endian byte-at-a-time encoder (the walkers' write visitor). */
 class ByteWriter
 {
   public:
     const std::vector<uint8_t> &bytes() const { return bytes_; }
 
+    template <class... T>
     void
-    u8(uint8_t v)
+    operator()(const T &...fields)
     {
-        bytes_.push_back(v);
+        (put(fields), ...);
     }
 
+    template <class T>
     void
-    u32(uint32_t v)
+    tag(T v, T, T)
     {
-        for (int i = 0; i < 4; ++i)
-            bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        put(static_cast<typename TagWire<T>::type>(v));
     }
 
+    template <class T, class Each>
     void
-    u64(uint64_t v)
+    seq(const std::vector<T> &xs, Each each)
     {
-        for (int i = 0; i < 8; ++i)
-            bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        put(static_cast<uint64_t>(xs.size()));
+        for (const T &x : xs)
+            each(x);
     }
 
-    void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
-    void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
-
-    /** Raw IEEE-754 bit pattern (preserves -0.0, NaN payloads). */
+    template <class T, class Each>
     void
-    f64(double v)
+    opt(const std::optional<T> &x, Each each)
     {
-        uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        bytes_.insert(bytes_.end(), s.begin(), s.end());
+        tag(x.has_value(), false, true);
+        if (x)
+            each(*x);
     }
 
   private:
+    template <std::integral U>
+    void
+    put(U v)
+    {
+        uint8_t le[sizeof v];
+        for (size_t i = 0; i < sizeof v; ++i)
+            le[i] = static_cast<uint8_t>(v >> (8 * i));
+        bytes_.insert(bytes_.end(), le, le + sizeof v);
+    }
+
+    /** Raw IEEE-754 bit pattern (preserves -0.0, NaN payloads). */
+    void put(double v) { put(std::bit_cast<uint64_t>(v)); }
+
+    void
+    put(std::string_view s)
+    {
+        put(static_cast<uint64_t>(s.size()));
+        bytes_.insert(bytes_.end(), s.begin(), s.end());
+    }
+
     std::vector<uint8_t> bytes_;
 };
 
 /**
- * Bounds-checked little-endian decoder. Every getter returns false
- * (and stops consuming) once the buffer is exhausted; done() is true
- * only when every byte was consumed without error, so trailing
- * garbage is also rejected.
+ * Bounds-checked little-endian decoder (the walkers' read visitor).
+ * Sticky: once a read runs past the buffer or a tag or count is out
+ * of range, ok() is false and every later read fails without
+ * consuming. done() is true only when every byte was consumed without
+ * error, so trailing garbage is also rejected.
  */
 class ByteReader
 {
   public:
     ByteReader(const uint8_t *data, size_t n) : data_(data), n_(n) {}
     explicit ByteReader(const std::vector<uint8_t> &bytes)
-        : data_(bytes.data()), n_(bytes.size())
+        : ByteReader(bytes.data(), bytes.size())
     {
     }
 
     bool ok() const { return ok_; }
     bool done() const { return ok_ && pos_ == n_; }
 
-    bool
-    u8(uint8_t *out)
+    template <class... T>
+    void
+    operator()(T &...fields)
     {
-        if (!take(1))
-            return false;
-        *out = data_[pos_ - 1];
-        return true;
+        (get(fields), ...);
     }
 
-    bool
-    u32(uint32_t *out)
+    template <class T>
+    void
+    tag(T &v, T first, T last)
     {
-        if (!take(4))
-            return false;
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(data_[pos_ - 4 + i]) << (8 * i);
-        *out = v;
-        return true;
+        using Wire = typename TagWire<T>::type;
+        Wire raw = 0;
+        get(raw);
+        if (raw < static_cast<Wire>(first) || raw > static_cast<Wire>(last))
+            ok_ = false;
+        else
+            v = static_cast<T>(raw);
     }
 
-    bool
-    u64(uint64_t *out)
+    /** Every element takes at least one byte, so a count beyond the
+     *  bytes left is malformed: it fails before it can size an
+     *  allocation. */
+    template <class T, class Each>
+    void
+    seq(std::vector<T> &xs, Each each)
     {
-        if (!take(8))
-            return false;
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(data_[pos_ - 8 + i]) << (8 * i);
-        *out = v;
-        return true;
+        uint64_t n = 0;
+        get(n);
+        if (n > n_ - pos_) {
+            ok_ = false;
+            n = 0;
+        }
+        xs.resize(static_cast<size_t>(n));
+        for (T &x : xs)
+            each(x);
     }
 
-    bool
-    i64(int64_t *out)
+    template <class T, class Each>
+    void
+    opt(std::optional<T> &x, Each each)
     {
-        uint64_t v = 0;
-        if (!u64(&v))
-            return false;
-        *out = static_cast<int64_t>(v);
-        return true;
-    }
-
-    bool
-    i32(int32_t *out)
-    {
-        uint32_t v = 0;
-        if (!u32(&v))
-            return false;
-        *out = static_cast<int32_t>(v);
-        return true;
-    }
-
-    bool
-    f64(double *out)
-    {
-        uint64_t bits = 0;
-        if (!u64(&bits))
-            return false;
-        std::memcpy(out, &bits, sizeof *out);
-        return true;
-    }
-
-    bool
-    str(std::string *out)
-    {
-        uint64_t len = 0;
-        if (!u64(&len) || !take(static_cast<size_t>(len)))
-            return false;
-        out->assign(reinterpret_cast<const char *>(data_ + pos_ - len),
-                    static_cast<size_t>(len));
-        return true;
+        bool present = false;
+        tag(present, false, true);
+        if (present)
+            each(x.emplace());
+        else
+            x.reset();
     }
 
   private:
+    template <std::integral U>
+    void
+    get(U &v)
+    {
+        std::make_unsigned_t<U> u = 0;
+        if (take(sizeof u))
+            for (size_t i = 0; i < sizeof u; ++i)
+                u |= static_cast<decltype(u)>(data_[pos_ - sizeof u + i])
+                     << (8 * i);
+        v = static_cast<U>(u);
+    }
+
+    void
+    get(double &v)
+    {
+        uint64_t bits = 0;
+        get(bits);
+        v = std::bit_cast<double>(bits);
+    }
+
+    void
+    get(std::string &s)
+    {
+        uint64_t len = 0;
+        get(len);
+        if (take(len))
+            s.assign(reinterpret_cast<const char *>(data_ + pos_ - len),
+                     static_cast<size_t>(len));
+    }
+
+    /** A C-string field (vlsi::Technology::name): the decoded text is
+     *  interned into process-lifetime storage the record can point
+     *  at. */
+    void get(const char *&s);
+
     bool
-    take(size_t k)
+    take(uint64_t k)
     {
         if (!ok_ || n_ - pos_ < k) {
             ok_ = false;
             return false;
         }
-        pos_ += k;
+        pos_ += static_cast<size_t>(k);
         return true;
     }
 
@@ -197,7 +265,22 @@ class ByteReader
     bool ok_ = true;
 };
 
-// --- Typed codecs (field order is part of the schema version). ---
+/**
+ * The reject-or-truth rule every decoder ends with: `rec`, decoded
+ * into a local, reaches *out only if the walk read every byte of the
+ * buffer without error.
+ */
+template <class T>
+bool
+commit(const ByteReader &r, T &rec, T *out)
+{
+    if (!r.done())
+        return false;
+    *out = std::move(rec);
+    return true;
+}
+
+// --- Typed codecs (walker field order is part of the schema version). ---
 
 void encodeCompiledKernel(const sched::CompiledKernel &ck,
                           ByteWriter *w);

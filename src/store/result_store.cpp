@@ -52,12 +52,9 @@ void
 putHeader(const Key &key, const std::vector<uint8_t> &payload,
           ByteWriter *w)
 {
-    w->u32(kMagic);
-    w->u32(kStoreSchemaVersion);
-    w->u32(static_cast<uint32_t>(key.kind));
-    w->u32(0); // reserved
-    w->u64(payload.size());
-    w->u64(fnv1aBytes(payload.data(), payload.size()));
+    (*w)(kMagic, kStoreSchemaVersion, static_cast<uint32_t>(key.kind),
+         uint32_t{0} /* reserved */, uint64_t{payload.size()},
+         fnv1aBytes(payload.data(), payload.size()));
 }
 
 } // namespace
@@ -150,10 +147,8 @@ ResultStore::get_(const Key &key, std::vector<uint8_t> *payload)
     ByteReader r(bytes);
     uint32_t magic = 0, version = 0, kind = 0, reserved = 0;
     uint64_t length = 0, checksum = 0;
-    bool header_ok = r.u32(&magic) && r.u32(&version) && r.u32(&kind) &&
-                     r.u32(&reserved) && r.u64(&length) &&
-                     r.u64(&checksum);
-    if (!header_ok || magic != kMagic ||
+    r(magic, version, kind, reserved, length, checksum);
+    if (!r.ok() || magic != kMagic ||
         version != kStoreSchemaVersion ||
         kind != static_cast<uint32_t>(key.kind) ||
         bytes.size() != kHeaderBytes + length ||

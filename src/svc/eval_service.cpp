@@ -1,91 +1,13 @@
 #include "svc/eval_service.h"
 
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "common/fnv.h"
 #include "stream/program.h"
 #include "workloads/suite.h"
 
 namespace sps::svc {
-
-namespace {
-
-void
-mixDouble(Fnv &f, double v)
-{
-    uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    f.mix(bits);
-}
-
-void
-mixParams(Fnv &f, const vlsi::Params &p)
-{
-    for (double v :
-         {p.aSram, p.aSb, p.wAlu, p.wLrf, p.wSp, p.h, p.v0, p.tCyc,
-          p.tMux, p.eW, p.eAlu, p.eSram, p.eSb, p.eLrf, p.eSp, p.tMem,
-          p.gSrf, p.gSb, p.gComm, p.gSp, p.i0, p.iN, p.lC, p.lO, p.lN,
-          p.rM, p.rUc, p.kCommArea, p.kCommEnergy, p.kIntraEnergy,
-          p.kDistEnergy, p.xbarConnectivity})
-        mixDouble(f, v);
-    f.mix(static_cast<uint64_t>(p.b));
-}
-
-void
-mixTech(Fnv &f, const vlsi::Technology &t)
-{
-    f.mix(std::string(t.name));
-    for (double v : {t.trackPitchUm, t.fo4Ps, t.ewFj, t.clockFo4,
-                     t.memBwGBs, t.hostBwGBs})
-        mixDouble(f, v);
-}
-
-void
-mixMemConfig(Fnv &f, const mem::StreamMemConfig &m)
-{
-    f.mix(static_cast<uint64_t>(m.channels));
-    mixDouble(f, m.peakWordsPerCycle);
-    f.mix(static_cast<uint64_t>(m.latencyCycles));
-    f.mix(static_cast<uint64_t>(m.timing.tRas));
-    f.mix(static_cast<uint64_t>(m.timing.tPre));
-    f.mix(static_cast<uint64_t>(m.timing.tCol));
-    f.mix(static_cast<uint64_t>(m.timing.banks));
-    f.mix(static_cast<uint64_t>(m.timing.rowWords));
-    f.mix(static_cast<uint64_t>(m.schedWindow));
-    f.mix(static_cast<uint64_t>(m.schedMaxBypass));
-}
-
-void
-mixEnergyConfig(Fnv &f, const energy::AccountantConfig &e)
-{
-    mixDouble(f, e.idleFraction);
-    mixDouble(f, e.dram.rowHitEnergyEw);
-    mixDouble(f, e.dram.rowMissEnergyEw);
-    mixDouble(f, e.dram.channelBusyEnergyEw);
-}
-
-} // namespace
-
-uint64_t
-simConfigHash(const sim::SimConfig &cfg)
-{
-    Fnv f;
-    f.mix(static_cast<uint64_t>(cfg.size.clusters));
-    f.mix(static_cast<uint64_t>(cfg.size.alusPerCluster));
-    mixParams(f, cfg.params);
-    mixTech(f, cfg.tech);
-    mixMemConfig(f, cfg.memConfig);
-    f.mix(static_cast<uint64_t>(cfg.ucConfig.pipeFillCycles));
-    f.mix(static_cast<uint64_t>(cfg.ucConfig.loadCyclesPerInstruction));
-    f.mix(static_cast<uint64_t>(cfg.hostIssueCycles));
-    f.mix(static_cast<uint64_t>(cfg.scoreboardDepth));
-    mixEnergyConfig(f, cfg.energyConfig);
-    return f.h;
-}
 
 EvalService::EvalService(core::EvalEngine *engine,
                          store::ResultStore *store)
@@ -386,20 +308,21 @@ EvalService::clearMemory()
 void
 EvalService::attachMetrics(obs::MetricsRegistry *registry)
 {
-    const char *durationHelp =
-        "Submit-to-resolution request latency (us)";
-    const char *tierHelp =
-        "Requests resolved per tier (mem / disk / compute / error)";
-    for (obs::Tier t : {obs::Tier::Mem, obs::Tier::Disk,
-                        obs::Tier::Compute, obs::Tier::Error}) {
-        int i = static_cast<int>(t);
-        std::string label =
-            std::string("tier=\"") + obs::tierName(t) + "\"";
-        registry->add(tier_[i], "sps_requests_tier_total", label,
-                      tierHelp);
-        registry->add(durationTier_[i], "sps_request_duration_us",
-                      label, durationHelp);
-    }
+    // One family at a time: Prometheus parsers reject a family whose
+    // samples are split by another's (a repeated # TYPE line).
+    constexpr obs::Tier kTiers[] = {obs::Tier::Mem, obs::Tier::Disk,
+                                    obs::Tier::Compute, obs::Tier::Error};
+    auto label = [](obs::Tier t) {
+        return std::string("tier=\"") + obs::tierName(t) + "\"";
+    };
+    for (obs::Tier t : kTiers)
+        registry->add(
+            tier_[static_cast<int>(t)], "sps_requests_tier_total", label(t),
+            "Requests resolved per tier (mem / disk / compute / error)");
+    for (obs::Tier t : kTiers)
+        registry->add(durationTier_[static_cast<int>(t)],
+                      "sps_request_duration_us", label(t),
+                      "Submit-to-resolution request latency (us)");
     // Listed (and therefore snapshot-read) *after* the tier counters:
     // a request increments requests_total first and its tier outcome
     // later, so reading outcomes before the total keeps

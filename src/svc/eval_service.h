@@ -51,6 +51,8 @@ namespace sps::svc {
  * (machine size, Table-1 params, technology, memory system, host
  * interface, energy accounting). Part of the sim-result store key, so
  * results computed under different configurations never alias.
+ * Defined in protocol.cpp as FNV-1a over the SimConfig field walker
+ * that also encodes a config override on the wire.
  */
 uint64_t simConfigHash(const sim::SimConfig &cfg);
 

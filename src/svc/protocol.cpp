@@ -1,8 +1,6 @@
 #include "svc/protocol.h"
 
-#include <array>
-#include <mutex>
-#include <unordered_set>
+#include "common/fnv.h"
 
 #ifndef _WIN32
 #include <cerrno>
@@ -38,16 +36,10 @@ knownKind(uint32_t kind)
 uint64_t
 frameChecksum(const uint8_t *prefix, const std::vector<uint8_t> &payload)
 {
-    uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](const uint8_t *d, size_t n) {
-        for (size_t i = 0; i < n; ++i) {
-            h ^= d[i];
-            h *= 1099511628211ull;
-        }
-    };
-    mix(prefix, kFrameHeaderBytes - 8);
-    mix(payload.data(), payload.size());
-    return h;
+    Fnv f;
+    f.mix(prefix, kFrameHeaderBytes - 8);
+    f.mix(payload.data(), payload.size());
+    return f.h;
 }
 
 void
@@ -55,12 +47,9 @@ putFrameHeader(FrameKind kind, const std::vector<uint8_t> &payload,
                store::ByteWriter *w)
 {
     size_t base = w->bytes().size();
-    w->u32(kProtocolMagic);
-    w->u32(kProtocolVersion);
-    w->u32(static_cast<uint32_t>(kind));
-    w->u32(0); // reserved
-    w->u64(payload.size());
-    w->u64(frameChecksum(w->bytes().data() + base, payload));
+    (*w)(kProtocolMagic, kProtocolVersion, static_cast<uint32_t>(kind),
+         uint32_t{0} /* reserved */, uint64_t{payload.size()});
+    (*w)(frameChecksum(w->bytes().data() + base, payload));
 }
 
 /**
@@ -74,50 +63,108 @@ parseFrameHeader(const uint8_t *header, FrameKind *kind,
 {
     store::ByteReader r(header, kFrameHeaderBytes);
     uint32_t magic = 0, version = 0, kind_raw = 0, reserved = 0;
-    if (!r.u32(&magic) || !r.u32(&version) || !r.u32(&kind_raw) ||
-        !r.u32(&reserved) || !r.u64(length) || !r.u64(checksum))
-        return false;
-    if (magic != kProtocolMagic || version != kProtocolVersion ||
+    r(magic, version, kind_raw, reserved, *length, *checksum);
+    if (!r.done() || magic != kProtocolMagic ||
+        version != kProtocolVersion ||
         !knownKind(kind_raw) || *length > kMaxFramePayloadBytes)
         return false;
     *kind = static_cast<FrameKind>(kind_raw);
     return true;
 }
 
-/** The vlsi::Params fields, in wire order (part of the protocol
- *  version; mirrors svc::simConfigHash's coverage). */
-constexpr std::array<double vlsi::Params::*, 32> kParamFields = {
-    &vlsi::Params::aSram,        &vlsi::Params::aSb,
-    &vlsi::Params::wAlu,         &vlsi::Params::wLrf,
-    &vlsi::Params::wSp,          &vlsi::Params::h,
-    &vlsi::Params::v0,           &vlsi::Params::tCyc,
-    &vlsi::Params::tMux,         &vlsi::Params::eW,
-    &vlsi::Params::eAlu,         &vlsi::Params::eSram,
-    &vlsi::Params::eSb,          &vlsi::Params::eLrf,
-    &vlsi::Params::eSp,          &vlsi::Params::tMem,
-    &vlsi::Params::gSrf,         &vlsi::Params::gSb,
-    &vlsi::Params::gComm,        &vlsi::Params::gSp,
-    &vlsi::Params::i0,           &vlsi::Params::iN,
-    &vlsi::Params::lC,           &vlsi::Params::lO,
-    &vlsi::Params::lN,           &vlsi::Params::rM,
-    &vlsi::Params::rUc,          &vlsi::Params::kCommArea,
-    &vlsi::Params::kCommEnergy,  &vlsi::Params::kIntraEnergy,
-    &vlsi::Params::kDistEnergy,  &vlsi::Params::xbarConnectivity,
-};
+// --- Field walkers, one per record, in wire order. ---
+
+template <store::MaybeConst<vlsi::MachineSize> R, class V>
+void
+walk(R &size, V &v)
+{
+    v(size.clusters, size.alusPerCluster);
+}
+
+template <store::MaybeConst<sim::SimConfig> R, class V>
+void
+walk(R &cfg, V &v)
+{
+    walk(cfg.size, v);
+    auto &p = cfg.params;
+    v(p.aSram, p.aSb, p.wAlu, p.wLrf, p.wSp, p.h, p.v0, p.tCyc, p.tMux,
+      p.eW, p.eAlu, p.eSram, p.eSb, p.eLrf, p.eSp, p.tMem, p.gSrf, p.gSb,
+      p.gComm, p.gSp, p.i0, p.iN, p.lC, p.lO, p.lN, p.rM, p.rUc,
+      p.kCommArea, p.kCommEnergy, p.kIntraEnergy, p.kDistEnergy,
+      p.xbarConnectivity, p.b);
+    auto &t = cfg.tech;
+    v(t.name, t.trackPitchUm, t.fo4Ps, t.ewFj, t.clockFo4, t.memBwGBs,
+      t.hostBwGBs);
+    auto &m = cfg.memConfig;
+    v(m.channels, m.peakWordsPerCycle, m.latencyCycles, m.timing.tRas,
+      m.timing.tPre, m.timing.tCol, m.timing.banks, m.timing.rowWords,
+      m.schedWindow, m.schedMaxBypass);
+    v(cfg.ucConfig.pipeFillCycles, cfg.ucConfig.loadCyclesPerInstruction,
+      cfg.hostIssueCycles, cfg.scoreboardDepth);
+    auto &e = cfg.energyConfig;
+    v(e.idleFraction, e.dram.rowHitEnergyEw, e.dram.rowMissEnergyEw,
+      e.dram.channelBusyEnergyEw);
+}
+
+// A field that changes SimConfig's size (424 bytes on LP64 hosts)
+// must be walked above: the walk is the wire format *and* the
+// store-key hash, so a field it skips would let differently
+// configured results alias.
+static_assert(sizeof(sim::SimConfig) == 424,
+              "sim::SimConfig changed: add the new field to the walker "
+              "above");
+
+template <store::MaybeConst<EvalPoint> R, class V>
+void
+walk(R &pt, V &v)
+{
+    v(pt.app);
+    walk(pt.size, v);
+    v.opt(pt.config, [&v](auto &cfg) { walk(cfg, v); });
+}
+
+template <store::MaybeConst<obs::MetricSample> R, class V>
+void
+walk(R &m, V &v)
+{
+    v(m.name, m.labels, m.help);
+    v.tag(m.kind, obs::MetricKind::Counter, obs::MetricKind::Histogram);
+    if (m.kind == obs::MetricKind::Histogram) {
+        v.seq(m.buckets, [&v](auto &count) { v(count); });
+        v(m.count, m.sum);
+    } else {
+        v(m.value);
+    }
+}
+
+template <store::MaybeConst<obs::MetricsSnapshot> R, class V>
+void
+walk(R &snap, V &v)
+{
+    v.seq(snap.metrics, [&v](auto &m) { walk(m, v); });
+}
 
 /**
- * Technology::name is a `const char *`; a decoded name is interned
- * into process-lifetime storage (node-based set: c_str() pointers
- * stay valid across inserts) so the decoded struct can carry it.
+ * simConfigHash's visitor: FNV-1a over the SimConfig walk, the same
+ * bytes as the wire except that an i32 field mixes as its
+ * sign-extended 8 bytes (the store-key hash predates the wire format,
+ * and changing it would orphan every persisted entry).
  */
-const char *
-internTechName(const std::string &name)
+struct ConfigHasher
 {
-    static std::mutex mu;
-    static std::unordered_set<std::string> names;
-    std::lock_guard<std::mutex> lock(mu);
-    return names.insert(name).first->c_str();
-}
+    Fnv f;
+
+    template <class... T>
+    void
+    operator()(const T &...fields)
+    {
+        (mix(fields), ...);
+    }
+
+    void mix(int32_t v) { f.mix(static_cast<uint64_t>(int64_t{v})); }
+    void mix(double v) { f.mix(std::bit_cast<uint64_t>(v)); }
+    void mix(const char *s) { f.mix(std::string_view(s)); }
+};
 
 } // namespace
 
@@ -152,96 +199,18 @@ decodeFrame(const std::vector<uint8_t> &bytes, Frame *out)
     return true;
 }
 
-void
-encodeSimConfig(const sim::SimConfig &cfg, store::ByteWriter *w)
+uint64_t
+simConfigHash(const sim::SimConfig &cfg)
 {
-    w->i32(cfg.size.clusters);
-    w->i32(cfg.size.alusPerCluster);
-    for (auto field : kParamFields)
-        w->f64(cfg.params.*field);
-    w->i32(cfg.params.b);
-    w->str(cfg.tech.name);
-    w->f64(cfg.tech.trackPitchUm);
-    w->f64(cfg.tech.fo4Ps);
-    w->f64(cfg.tech.ewFj);
-    w->f64(cfg.tech.clockFo4);
-    w->f64(cfg.tech.memBwGBs);
-    w->f64(cfg.tech.hostBwGBs);
-    w->i32(cfg.memConfig.channels);
-    w->f64(cfg.memConfig.peakWordsPerCycle);
-    w->i32(cfg.memConfig.latencyCycles);
-    w->i32(cfg.memConfig.timing.tRas);
-    w->i32(cfg.memConfig.timing.tPre);
-    w->i32(cfg.memConfig.timing.tCol);
-    w->i32(cfg.memConfig.timing.banks);
-    w->i32(cfg.memConfig.timing.rowWords);
-    w->i32(cfg.memConfig.schedWindow);
-    w->i32(cfg.memConfig.schedMaxBypass);
-    w->i32(cfg.ucConfig.pipeFillCycles);
-    w->i32(cfg.ucConfig.loadCyclesPerInstruction);
-    w->i32(cfg.hostIssueCycles);
-    w->i32(cfg.scoreboardDepth);
-    w->f64(cfg.energyConfig.idleFraction);
-    w->f64(cfg.energyConfig.dram.rowHitEnergyEw);
-    w->f64(cfg.energyConfig.dram.rowMissEnergyEw);
-    w->f64(cfg.energyConfig.dram.channelBusyEnergyEw);
-}
-
-bool
-decodeSimConfig(store::ByteReader *r, sim::SimConfig *out)
-{
-    sim::SimConfig cfg;
-    if (!r->i32(&cfg.size.clusters) ||
-        !r->i32(&cfg.size.alusPerCluster))
-        return false;
-    for (auto field : kParamFields)
-        if (!r->f64(&(cfg.params.*field)))
-            return false;
-    if (!r->i32(&cfg.params.b))
-        return false;
-    std::string name;
-    if (!r->str(&name))
-        return false;
-    cfg.tech.name = internTechName(name);
-    if (!r->f64(&cfg.tech.trackPitchUm) || !r->f64(&cfg.tech.fo4Ps) ||
-        !r->f64(&cfg.tech.ewFj) || !r->f64(&cfg.tech.clockFo4) ||
-        !r->f64(&cfg.tech.memBwGBs) || !r->f64(&cfg.tech.hostBwGBs))
-        return false;
-    if (!r->i32(&cfg.memConfig.channels) ||
-        !r->f64(&cfg.memConfig.peakWordsPerCycle) ||
-        !r->i32(&cfg.memConfig.latencyCycles) ||
-        !r->i32(&cfg.memConfig.timing.tRas) ||
-        !r->i32(&cfg.memConfig.timing.tPre) ||
-        !r->i32(&cfg.memConfig.timing.tCol) ||
-        !r->i32(&cfg.memConfig.timing.banks) ||
-        !r->i32(&cfg.memConfig.timing.rowWords) ||
-        !r->i32(&cfg.memConfig.schedWindow) ||
-        !r->i32(&cfg.memConfig.schedMaxBypass))
-        return false;
-    if (!r->i32(&cfg.ucConfig.pipeFillCycles) ||
-        !r->i32(&cfg.ucConfig.loadCyclesPerInstruction))
-        return false;
-    if (!r->i32(&cfg.hostIssueCycles) ||
-        !r->i32(&cfg.scoreboardDepth))
-        return false;
-    if (!r->f64(&cfg.energyConfig.idleFraction) ||
-        !r->f64(&cfg.energyConfig.dram.rowHitEnergyEw) ||
-        !r->f64(&cfg.energyConfig.dram.rowMissEnergyEw) ||
-        !r->f64(&cfg.energyConfig.dram.channelBusyEnergyEw))
-        return false;
-    *out = cfg;
-    return true;
+    ConfigHasher h;
+    walk(cfg, h);
+    return h.f.h;
 }
 
 void
 encodeEvalRequest(const EvalPoint &pt, store::ByteWriter *w)
 {
-    w->str(pt.app);
-    w->i32(pt.size.clusters);
-    w->i32(pt.size.alusPerCluster);
-    w->u8(pt.config ? 1 : 0);
-    if (pt.config)
-        encodeSimConfig(*pt.config, w);
+    walk(pt, *w);
 }
 
 bool
@@ -249,57 +218,30 @@ decodeEvalRequest(const std::vector<uint8_t> &bytes, EvalPoint *out)
 {
     store::ByteReader r(bytes);
     EvalPoint pt;
-    uint8_t has_config = 0;
-    if (!r.str(&pt.app) || !r.i32(&pt.size.clusters) ||
-        !r.i32(&pt.size.alusPerCluster) || !r.u8(&has_config))
-        return false;
-    if (has_config > 1)
-        return false;
-    if (has_config) {
-        sim::SimConfig cfg;
-        if (!decodeSimConfig(&r, &cfg))
-            return false;
-        pt.config = cfg;
-    }
-    if (!r.done())
-        return false; // trailing bytes are as bad as missing ones
-    *out = std::move(pt);
-    return true;
+    walk(pt, r);
+    return commit(r, pt, out);
 }
 
 void
 encodeErrorString(const std::string &message, store::ByteWriter *w)
 {
-    w->str(message);
+    (*w)(message);
 }
 
 bool
 decodeErrorString(const std::vector<uint8_t> &bytes, std::string *out)
 {
     store::ByteReader r(bytes);
-    return r.str(out) && r.done();
+    std::string message;
+    r(message);
+    return commit(r, message, out);
 }
 
 void
 encodeMetricsSnapshot(const obs::MetricsSnapshot &snap,
                       store::ByteWriter *w)
 {
-    w->u64(snap.metrics.size());
-    for (const auto &m : snap.metrics) {
-        w->str(m.name);
-        w->str(m.labels);
-        w->str(m.help);
-        w->u32(static_cast<uint32_t>(m.kind));
-        if (m.kind == obs::MetricKind::Histogram) {
-            w->u64(m.buckets.size());
-            for (uint64_t b : m.buckets)
-                w->u64(b);
-            w->u64(m.count);
-            w->u64(m.sum);
-        } else {
-            w->i64(m.value);
-        }
-    }
+    walk(snap, *w);
 }
 
 bool
@@ -307,46 +249,9 @@ decodeMetricsSnapshot(const std::vector<uint8_t> &bytes,
                       obs::MetricsSnapshot *out)
 {
     store::ByteReader r(bytes);
-    uint64_t n = 0;
-    if (!r.u64(&n) || n > bytes.size())
-        return false;
     obs::MetricsSnapshot snap;
-    snap.metrics.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-        obs::MetricSample m;
-        uint32_t kind = 0;
-        if (!r.str(&m.name) || !r.str(&m.labels) || !r.str(&m.help) ||
-            !r.u32(&kind))
-            return false;
-        switch (static_cast<obs::MetricKind>(kind)) {
-        case obs::MetricKind::Counter:
-        case obs::MetricKind::Gauge:
-            m.kind = static_cast<obs::MetricKind>(kind);
-            if (!r.i64(&m.value))
-                return false;
-            break;
-        case obs::MetricKind::Histogram: {
-            m.kind = obs::MetricKind::Histogram;
-            uint64_t n_buckets = 0;
-            if (!r.u64(&n_buckets) || n_buckets > bytes.size())
-                return false;
-            m.buckets.resize(static_cast<size_t>(n_buckets));
-            for (auto &b : m.buckets)
-                if (!r.u64(&b))
-                    return false;
-            if (!r.u64(&m.count) || !r.u64(&m.sum))
-                return false;
-            break;
-        }
-        default:
-            return false; // unknown metric kind
-        }
-        snap.metrics.push_back(std::move(m));
-    }
-    if (!r.done())
-        return false;
-    out->metrics = std::move(snap.metrics);
-    return true;
+    walk(snap, r);
+    return commit(r, snap, out);
 }
 
 #ifndef _WIN32

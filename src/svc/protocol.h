@@ -27,6 +27,14 @@
  * encoded sim::SimResult, bit-identical to what the server computed,
  * which is what keeps client-side CSVs byte-identical to in-process
  * runs.
+ *
+ * Each payload record (SimConfig, EvalPoint, MetricsSnapshot) is
+ * listed once, by a field walker in protocol.cpp that both codecs run
+ * (see store/codec.h); the SimConfig walker is also simConfigHash, so
+ * the wire and the store key cover the same fields. Decoders are
+ * reject-or-truth: enum and flag ranges are checked, every count is
+ * bounded by the bytes left, and a record is handed out only when the
+ * whole payload was consumed.
  */
 #ifndef SPS_SVC_PROTOCOL_H
 #define SPS_SVC_PROTOCOL_H
@@ -100,12 +108,7 @@ void encodeFrame(FrameKind kind, const std::vector<uint8_t> &payload,
  */
 bool decodeFrame(const std::vector<uint8_t> &bytes, Frame *out);
 
-// --- Payload codecs (field order is part of kProtocolVersion). ---
-
-/** Every sim::SimConfig field, doubles as raw bit patterns, so
- *  simConfigHash(decoded) == simConfigHash(original) exactly. */
-void encodeSimConfig(const sim::SimConfig &cfg, store::ByteWriter *w);
-bool decodeSimConfig(store::ByteReader *r, sim::SimConfig *out);
+// --- Payload codecs (walker field order is part of kProtocolVersion). ---
 
 void encodeEvalRequest(const EvalPoint &pt, store::ByteWriter *w);
 /** False on truncation, trailing bytes, or malformed fields. */

@@ -343,19 +343,12 @@ TEST(FusionDispatchTest, PoliciesBitIdenticalAcrossBackends)
 
 TEST(SimdDispatchTest, EnvResolutionPolicy)
 {
-    // SPS_INTERP_SCALAR wins over everything unless it is "" or "0".
-    EXPECT_EQ(resolveSimdBackend("1", "avx2"), SimdBackend::Scalar);
-    EXPECT_EQ(resolveSimdBackend("yes", nullptr), SimdBackend::Scalar);
-    EXPECT_EQ(resolveSimdBackend("0", nullptr), bestSimdBackend());
-    EXPECT_EQ(resolveSimdBackend("", nullptr), bestSimdBackend());
     // Explicit backend requests resolve to a supported tier at or
     // below the request; garbage falls back to the best tier.
-    EXPECT_EQ(resolveSimdBackend(nullptr, "scalar"),
-              SimdBackend::Scalar);
-    EXPECT_TRUE(
-        simdBackendSupported(resolveSimdBackend(nullptr, "avx2")));
-    EXPECT_EQ(resolveSimdBackend(nullptr, "bogus"), bestSimdBackend());
-    EXPECT_EQ(resolveSimdBackend(nullptr, nullptr), bestSimdBackend());
+    EXPECT_EQ(resolveSimdBackend("scalar"), SimdBackend::Scalar);
+    EXPECT_TRUE(simdBackendSupported(resolveSimdBackend("avx2")));
+    EXPECT_EQ(resolveSimdBackend("bogus"), bestSimdBackend());
+    EXPECT_EQ(resolveSimdBackend(nullptr), bestSimdBackend());
     // Scalar is always available and availableSimdBackends leads
     // with it.
     ASSERT_FALSE(availableSimdBackends().empty());

@@ -171,15 +171,24 @@ TEST(CodecTest, TrailingBytesAreRejected)
  *  attempting the allocation. */
 TEST(CodecTest, InsaneLengthPrefixFails)
 {
-    ByteWriter w;
-    // SimResult layout starts with cycles/aluOps/gopsOps/...; write
-    // enough plausible fields then an absurd timeline count.
-    for (int i = 0; i < 6; ++i)
-        w.i64(1);
-    w.i64(7);                 // srfHighWater
-    w.u64(uint64_t(1) << 60); // timeline count: absurd
+    // SimResult layout starts with cycles/aluOps/gopsOps/.../
+    // srfHighWater, then the timeline count.
+    auto timelineClaiming = [](uint64_t count) {
+        ByteWriter w;
+        for (int i = 0; i < 7; ++i)
+            w(int64_t{1});
+        w(count);
+        return w.bytes();
+    };
     sim::SimResult out;
-    EXPECT_FALSE(decodeSimResult(w.bytes(), &out));
+    EXPECT_FALSE(decodeSimResult(timelineClaiming(uint64_t(1) << 60),
+                                 &out));
+    // A count no larger than a plausible timeline, but more than the
+    // bytes left: 2^27 OpIntervals would size an ~11 GB vector before
+    // the first element is read.
+    std::vector<uint8_t> bytes = timelineClaiming(uint64_t(1) << 27);
+    ASSERT_LT(bytes.size(), 100u);
+    EXPECT_FALSE(decodeSimResult(bytes, &out));
 }
 
 TEST(CodecTest, ChecksumDistinguishesPayloads)

@@ -6,8 +6,8 @@
 // consistency under a concurrent submit storm (TSan-covered in CI),
 // the MetricsRequest round trip through server and client, the
 // server-side span pipeline behind the slow-request log and the
-// Chrome-trace export, and the cache-tier rows rendered from a
-// snapshot.
+// Chrome-trace export, a daemon scrape that types each metric family
+// once, and the cache-tier rows rendered from a snapshot.
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include <atomic>
 #include <filesystem>
 #include <future>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -428,6 +430,42 @@ TEST(ServerTelemetryTest, LocalSnapshotMatchesTheWire)
     EXPECT_EQ(tierCounter(local, "compute"),
               tierCounter(wire, "compute"));
     server.stop();
+}
+
+TEST(ServerTelemetryTest, DaemonScrapeTypesEachFamilyOnce)
+{
+    // Wired as sps_evald wires it: store, schedule cache, service and
+    // server on one registry. Prometheus parsers reject a family that
+    // another family's samples split in two (a repeated # TYPE line),
+    // so every family must be listed contiguously.
+    std::string root = freshRoot("families");
+    store::ResultStore store(root);
+    core::EvalEngine engine(1);
+    obs::MetricsRegistry reg;
+    store.attachMetrics(&reg);
+    engine.cache().attachStore(&store);
+    engine.cache().attachMetrics(&reg);
+    {
+        EvalService service(&engine, &store);
+        std::string sock = freshSock("families");
+        ServerTelemetry telemetry;
+        telemetry.registry = &reg;
+        EvalServer server(&service, sock, telemetry);
+
+        std::istringstream text(
+            obs::renderPrometheus(server.metricsSnapshot()));
+        std::map<std::string, int> typed;
+        for (std::string line; std::getline(text, line);)
+            if (line.rfind("# TYPE ", 0) == 0)
+                ++typed[line.substr(7, line.find(' ', 7) - 7)];
+        EXPECT_GT(typed.size(), 20u);
+        for (const auto &[name, n] : typed)
+            EXPECT_EQ(n, 1) << "# TYPE " << name;
+        EXPECT_EQ(typed.count("sps_requests_tier_total"), 1u);
+        EXPECT_EQ(typed.count("sps_request_duration_us"), 1u);
+        server.stop();
+    }
+    engine.cache().attachStore(nullptr);
 }
 
 TEST(ServerTelemetryTest, MetricsWithoutTelemetryIsACleanError)
