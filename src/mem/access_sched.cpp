@@ -59,6 +59,27 @@ AccessWindow::serviceNext()
     return s;
 }
 
+size_t
+AccessWindow::hitStreak() const
+{
+    size_t k = 0;
+    const int tag = at(0).tag;
+    while (k < size_ && at(k).tag == tag &&
+           channel_.isRowHit(at(k).addr))
+        ++k;
+    return k;
+}
+
+int64_t
+AccessWindow::serviceHitStreak(size_t k)
+{
+    SPS_ASSERT(k <= size_, "hit streak of %zu from %zu entries", k,
+               size_);
+    head_ = (head_ + k) & mask_;
+    size_ -= k;
+    return channel_.serviceHits(static_cast<int64_t>(k));
+}
+
 SchedRunStats
 AccessScheduler::runStats(const std::vector<MemRequest> &requests)
 {

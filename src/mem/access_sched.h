@@ -11,7 +11,9 @@
  * list-based AccessScheduler here, and StreamMemSystem's interleaved
  * per-channel service loop) push requests in arrival order and pop
  * them in scheduled order, so concurrent stream transfers share one
- * window per channel.
+ * window per channel. A row hit at the head is always the pick, so a
+ * streak of leading row hits can be serviced at once
+ * (serviceHitStreak) without running the pick once per request.
  */
 #ifndef SPS_MEM_ACCESS_SCHED_H
 #define SPS_MEM_ACCESS_SCHED_H
@@ -87,6 +89,24 @@ class AccessWindow
     /** Service the scheduled pick; the window must be non-empty. */
     WindowService serviceNext();
 
+    /** Tag of the oldest entry; the window must be non-empty. */
+    int headTag() const { return at(0).tag; }
+
+    /**
+     * How many of the oldest entries share the head's tag and hit an
+     * open row. Each of them would be serviceNext()'s pick in turn, at
+     * pick index 0 and bypassing nobody: a head row hit is first-ready
+     * and also the age cap's choice, and servicing a hit changes no
+     * row state.
+     */
+    size_t hitStreak() const;
+
+    /**
+     * Service the `k` oldest entries, k <= hitStreak(): the closed
+     * form of k serviceNext() calls. Returns their pin cycles.
+     */
+    int64_t serviceHitStreak(size_t k);
+
   private:
     struct Entry
     {
@@ -96,6 +116,7 @@ class AccessWindow
     };
     /** The i-th oldest entry. */
     Entry &at(size_t i) { return ring_[(head_ + i) & mask_]; }
+    const Entry &at(size_t i) const { return ring_[(head_ + i) & mask_]; }
 
     DramChannel &channel_;
     std::vector<Entry> ring_; ///< power-of-two size >= window

@@ -102,6 +102,17 @@ class DramChannel
         return service(decode(req.wordAddr));
     }
 
+    /**
+     * Service `k` requests that all hit open rows: the closed form of
+     * k service() calls on row hits (no row state changes). Returns
+     * the pin cycles, k * tCol.
+     */
+    int64_t serviceHits(int64_t k)
+    {
+        rowHits_ += k;
+        return k * timing_.tCol;
+    }
+
     /** Requests serviced that hit an open row. */
     int64_t rowHits() const { return rowHits_; }
 

@@ -12,6 +12,46 @@ namespace {
 /** Words beyond which a transfer is extrapolated from a prefix. */
 constexpr int64_t kSimCap = 8192;
 
+/**
+ * Append channel-local addresses start, start + 1, ..., count of
+ * them to one transfer's runs on one channel (its runs are runs[first]
+ * on), extending the last run when they continue its progression.
+ */
+void
+appendRun(std::vector<AddrRun> &runs, size_t first,
+          int64_t start, int64_t count)
+{
+    if (runs.size() > first) {
+        AddrRun &last = runs.back();
+        int64_t step = last.count == 1 ? start - last.start : last.step;
+        if (start == last.start + last.count * step &&
+            (count == 1 || step == 1)) {
+            last.step = step;
+            last.count += count;
+            return;
+        }
+    }
+    runs.push_back(AddrRun{start, count, 1});
+}
+
+/** How many of the run's addresses from offset `off` on share the DRAM
+ *  row of the one at `off` (rows are aligned rowWords-word blocks of
+ *  channel-local addresses). */
+int64_t
+sameRowCount(const AddrRun &run, int64_t off,
+             int64_t row_words)
+{
+    const int64_t left = run.count - off;
+    if (run.step == 0)
+        return left;
+    const int64_t addr = run.start + off * run.step;
+    const int64_t row_lo = addr - addr % row_words;
+    const int64_t n =
+        run.step > 0 ? (row_lo + row_words - 1 - addr) / run.step + 1
+                     : (addr - row_lo) / -run.step + 1;
+    return std::min(left, n);
+}
+
 /** Round-to-nearest scaling used by the extrapolation path. */
 int64_t
 scaleCount(int64_t sim_value, double factor)
@@ -118,15 +158,15 @@ StreamMemSystem::resolveAll()
     constexpr int64_t kFar = std::numeric_limits<int64_t>::max();
     BatchScratch &sc = scratch_;
 
-    // --- Address generation: expand each transfer (capped at the
-    // simulation prefix) and assign requests to channels by word
+    // --- Address generation: walk each transfer (capped at the
+    // simulation prefix) and assign its words to channels by word
     // address. Channel-local addresses (wordAddr / channels) are what
     // the per-channel DRAM geometry sees, the classic interleaved
-    // decomposition. Each channel's requests stay grouped by transfer
-    // so the service loop can interleave concurrent transfers.
-    sc.requests.resize(nc);
-    for (auto &q : sc.requests)
-        q.clear();
+    // decomposition. Each channel's runs stay grouped by transfer so
+    // the service loop can interleave concurrent transfers.
+    sc.runs.resize(nc);
+    for (auto &r : sc.runs)
+        r.clear();
     sc.runBegin.assign(nc * (nt + 1), 0);
     sc.factor.assign(nt, 1.0);
     for (size_t t = 0; t < nt; ++t) {
@@ -136,36 +176,50 @@ StreamMemSystem::resolveAll()
                                      static_cast<double>(sim)
                                : 1.0;
         for (size_t c = 0; c < nc; ++c)
-            sc.runBegin[c * (nt + 1) + t] = sc.requests[c].size();
-        // Word i sits at base + (i / rec) * stride + i % rec. A cursor
-        // walks it as (channel-local address, channel) pairs: +1 word
-        // within a record, +stride from one record start to the next.
+            sc.runBegin[c * (nt + 1) + t] = sc.runs[c].size();
+        // Word i sits at base + (i / rec) * stride + i % rec; records
+        // that abut are one long record. A record of len words at
+        // global address A gives channel (A + j) % C, for each lane
+        // j < min(len, C), the consecutive channel-local addresses
+        // from (A + j) / C on, one per C words of the record. A cursor
+        // walks (A + j) as (channel-local address, channel) pairs:
+        // +1 per lane, +stride from one record start to the next.
         int64_t rec = std::max<int64_t>(1, d.recordWords);
         int64_t stride = d.strideWords > 0 ? d.strideWords : rec;
+        if (stride == rec)
+            rec = std::max<int64_t>(1, sim);
         const int64_t stride_q = stride / C, stride_r = stride % C;
+        const int64_t rec_per = rec / C, rec_extra = rec % C;
         int64_t rec_q = d.baseWord / C, rec_r = d.baseWord % C;
-        int64_t q = rec_q, r = rec_r, off = 0;
-        for (int64_t i = 0; i < sim; ++i) {
-            sc.requests[static_cast<size_t>(r)].push_back(
-                MemRequest{q, d.write});
-            if (++off == rec) {
-                off = 0;
-                rec_q += stride_q;
-                rec_r += stride_r;
-                if (rec_r >= C) {
-                    rec_r -= C;
-                    ++rec_q;
+        for (int64_t left = sim; left > 0;) {
+            int64_t len = std::min(rec, left), per = rec_per,
+                    extra = rec_extra;
+            if (len < rec) {
+                per = len / C;
+                extra = len % C;
+            }
+            left -= len;
+            int64_t q = rec_q, r = rec_r;
+            for (int64_t j = 0, lanes = per > 0 ? C : extra; j < lanes;
+                 ++j) {
+                auto rc = static_cast<size_t>(r);
+                appendRun(sc.runs[rc], sc.runBegin[rc * (nt + 1) + t], q,
+                          per + (j < extra ? 1 : 0));
+                if (++r == C) {
+                    r = 0;
+                    ++q;
                 }
-                q = rec_q;
-                r = rec_r;
-            } else if (++r == C) {
-                r = 0;
-                ++q;
+            }
+            rec_q += stride_q;
+            rec_r += stride_r;
+            if (rec_r >= C) {
+                rec_r -= C;
+                ++rec_q;
             }
         }
     }
     for (size_t c = 0; c < nc; ++c)
-        sc.runBegin[c * (nt + 1) + nt] = sc.requests[c].size();
+        sc.runBegin[c * (nt + 1) + nt] = sc.runs[c].size();
 
     // --- Joint service: one FR-FCFS window per channel over all
     // transfers in the batch.
@@ -178,16 +232,47 @@ StreamMemSystem::resolveAll()
     sc.reorderSum.assign(nt, 0);
 
     for (size_t c = 0; c < nc; ++c) {
-        const std::vector<MemRequest> &q = sc.requests[c];
-        const size_t *run = &sc.runBegin[c * (nt + 1)];
-        size_t remaining = q.size();
-        if (remaining == 0)
+        const std::vector<AddrRun> &runs = sc.runs[c];
+        if (runs.empty())
             continue;
+        const size_t *first = &sc.runBegin[c * (nt + 1)];
         Channel &chan = ch_[c];
         ChannelStats &cs = chStats_[c];
         AccessWindow &window = win_[c];
+        DramChannel &dram = chan.dram;
+        const int64_t tcol = dram.timing().tCol;
+        const int64_t row_words = dram.timing().rowWords;
         int64_t now = chan.freeCycle;
-        sc.next.assign(run, run + nt);
+        sc.next.assign(first, first + nt);
+        sc.nextOff.assign(nt, 0);
+        // Transfers with requests left on this channel.
+        size_t live = 0;
+        for (size_t t = 0; t < nt; ++t)
+            live += sc.next[t] < first[t + 1] ? 1 : 0;
+        auto has_more = [&](size_t t) { return sc.next[t] < first[t + 1]; };
+        // Move transfer t's cursor n requests on, within its run.
+        auto advance = [&](size_t t, int64_t n) {
+            sc.nextOff[t] += n;
+            if (sc.nextOff[t] == runs[sc.next[t]].count) {
+                sc.nextOff[t] = 0;
+                if (++sc.next[t] == first[t + 1])
+                    --live;
+            }
+        };
+        // Charge n serviced requests of transfer t, starting now.
+        auto account = [&](size_t t, int64_t cycles, int64_t n,
+                           int64_t hits, int64_t conflicts) {
+            sc.svcStart[t] = std::min(sc.svcStart[t], now);
+            now += cycles;
+            sc.busy[t * nc + c] += cycles;
+            sc.lastEnd[t * nc + c] = now;
+            sc.hits[t] += hits;
+            sc.conflicts[t] += conflicts;
+            cs.busyCycles += cycles;
+            cs.accesses += n;
+            cs.rowHits += hits;
+            cs.bankConflicts += conflicts;
+        };
         size_t rr = 0; // round-robin admission cursor
         int64_t runStart = -1;
         auto close_run = [&] {
@@ -195,7 +280,7 @@ StreamMemSystem::resolveAll()
                 busyIvs_.push_back(BusyInterval{runStart, now});
             runStart = -1;
         };
-        while (!window.empty() || remaining > 0) {
+        while (!window.empty() || live > 0) {
             // Admit requests round-robin across transfers that have
             // started, one per sweep, so concurrent transfers
             // interleave through the shared window instead of
@@ -205,11 +290,15 @@ StreamMemSystem::resolveAll()
                 admitted = false;
                 for (size_t k = 0; k < nt; ++k) {
                     size_t t = (rr + k) % nt;
-                    if (sc.next[t] < run[t + 1] &&
+                    if (has_more(t) &&
                         pending_[t].desc.startCycle <= now) {
-                        window.push(q[sc.next[t]++],
-                                    static_cast<int>(t));
-                        --remaining;
+                        const AddrRun &run = runs[sc.next[t]];
+                        window.push(
+                            MemRequest{run.start +
+                                           sc.nextOff[t] * run.step,
+                                       pending_[t].desc.write},
+                            static_cast<int>(t));
+                        advance(t, 1);
                         rr = (t + 1) % nt;
                         admitted = true;
                         break;
@@ -220,7 +309,7 @@ StreamMemSystem::resolveAll()
                 // Idle until the next transfer becomes ready.
                 int64_t nxt = kFar;
                 for (size_t t = 0; t < nt; ++t)
-                    if (sc.next[t] < run[t + 1])
+                    if (has_more(t))
                         nxt = std::min(nxt,
                                        pending_[t].desc.startCycle);
                 close_run();
@@ -229,23 +318,55 @@ StreamMemSystem::resolveAll()
             }
             if (runStart < 0)
                 runStart = now;
-            WindowService s = window.serviceNext();
-            auto t = static_cast<size_t>(s.tag);
-            sc.svcStart[t] = std::min(sc.svcStart[t], now);
-            now += s.cycles;
-            sc.busy[t * nc + c] += s.cycles;
-            sc.lastEnd[t * nc + c] = now;
-            sc.hits[t] += s.rowHit ? 1 : 0;
-            sc.conflicts[t] += s.bankConflict ? 1 : 0;
-            sc.reorderSum[t] += s.pickIndex;
-            TransferResult &r =
-                results_[static_cast<size_t>(pending_[t].ticket)];
-            r.dramReorderMax =
-                std::max(r.dramReorderMax, s.pickIndex);
-            cs.busyCycles += s.cycles;
-            ++cs.accesses;
-            cs.rowHits += s.rowHit ? 1 : 0;
-            cs.bankConflicts += s.bankConflict ? 1 : 0;
+            auto streak = static_cast<int64_t>(window.hitStreak());
+            if (streak == 0) {
+                // Row miss at the head: the per-request FR-FCFS pick.
+                WindowService s = window.serviceNext();
+                auto t = static_cast<size_t>(s.tag);
+                account(t, s.cycles, 1, s.rowHit ? 1 : 0,
+                        s.bankConflict ? 1 : 0);
+                sc.reorderSum[t] += s.pickIndex;
+                TransferResult &r =
+                    results_[static_cast<size_t>(pending_[t].ticket)];
+                r.dramReorderMax =
+                    std::max(r.dramReorderMax, s.pickIndex);
+                continue;
+            }
+            // Head row hits go in order at pick index 0. Serviced one
+            // at a time, each would be followed by an admission sweep;
+            // the next sweep admits the same requests instead, as no
+            // waiting transfer becomes ready before the streak ends
+            // (the streak is cut short so; a streak of one is the
+            // per-request step itself).
+            int64_t ready = kFar;
+            for (size_t t = 0; t < nt; ++t)
+                if (has_more(t) && pending_[t].desc.startCycle > now)
+                    ready = std::min(ready, pending_[t].desc.startCycle);
+            if (ready != kFar)
+                streak = std::min(
+                    streak, std::max<int64_t>(1, (ready - now - 1) / tcol));
+            const auto head = static_cast<size_t>(window.headTag());
+            account(head,
+                    window.serviceHitStreak(static_cast<size_t>(streak)),
+                    streak, streak, 0);
+            // Drained window, one started transfer left: it alone
+            // would refill the window, so its requests are serviced in
+            // order while they hit, a row's worth at a time.
+            while (window.empty() && live == 1) {
+                size_t t = 0;
+                while (!has_more(t))
+                    ++t;
+                if (pending_[t].desc.startCycle > now)
+                    break;
+                const AddrRun &run = runs[sc.next[t]];
+                const int64_t off = sc.nextOff[t];
+                const int64_t addr = run.start + off * run.step;
+                if (!dram.isRowHit(dram.decode(addr)))
+                    break;
+                const int64_t n = sameRowCount(run, off, row_words);
+                account(t, dram.serviceHits(n), n, n, 0);
+                advance(t, n);
+            }
         }
         close_run();
 

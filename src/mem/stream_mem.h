@@ -4,11 +4,13 @@
  * external DRAM and the SRF.
  *
  * Transfers carry real word addresses: a per-stream address generator
- * expands (base, record stride, record length) into MemRequests, and
- * each request is assigned to channel `wordAddr % channels` (word
- * interleaving by address, so stride-aliased streams collapse onto a
- * subset of the channels instead of being credited full aggregate
- * bandwidth). Channel state -- open rows, bank contents, and the
+ * walks (base, record stride, record length) and assigns each word to
+ * channel `wordAddr % channels` (word interleaving by address, so
+ * stride-aliased streams collapse onto a subset of the channels
+ * instead of being credited full aggregate bandwidth). It emits each
+ * transfer's words on a channel as runs of channel-local addresses
+ * (start, count, step), so a dense transfer is about one run per
+ * channel. Channel state -- open rows, bank contents, and the
  * per-channel busy cursor -- is owned by the StreamMemSystem and
  * persists across transfers within one program run.
  *
@@ -19,6 +21,15 @@
  * exactly where they overlap. The stream controller submits a transfer
  * at issue and resolves the batch when a dependent op (or the
  * scoreboard) needs a completion time.
+ *
+ * Service costs O(row changes), not O(words), on the common case of
+ * long row-hit streaks, with results identical to a per-request
+ * service loop: a window head that hits its open row is serviced
+ * together with the hits behind it, and once the window drains with
+ * a single started transfer left on the channel, the rest of its run
+ * within the open row is charged in closed form. Row misses, several
+ * live transfers and not-yet-started transfers take the per-request
+ * FR-FCFS path.
  *
  * Configured for the paper's 2007 technology point (eight channels,
  * 16 GB/s, 55-cycle latency) by default.
@@ -115,6 +126,15 @@ struct ChannelStats
     int64_t accesses = 0;
     int64_t rowHits = 0;
     int64_t bankConflicts = 0;
+};
+
+/** Channel-local addresses start, start + step, ..., count of them:
+ *  one stretch of a transfer's requests on one memory channel. */
+struct AddrRun
+{
+    int64_t start = 0;
+    int64_t count = 0;
+    int64_t step = 1;
 };
 
 /** Optional tracing context for one transfer (see trace/tracer.h). */
@@ -228,20 +248,22 @@ class StreamMemSystem
     /**
      * resolveAll's working storage, kept across batches so a batch
      * allocates nothing once the buffers have grown. A transfer
-     * contributes at most kSimCap requests, so the request buffers are
-     * bounded by kSimCap words per transfer of the largest batch.
+     * contributes at most kSimCap requests, so the run buffers are
+     * bounded by kSimCap runs per transfer of the largest batch.
      * Per-(transfer, channel) arrays are indexed t * channels + c.
      */
     struct BatchScratch
     {
-        /** Per channel: the batch's requests, grouped by transfer. */
-        std::vector<std::vector<MemRequest>> requests;
-        /** [c * (nt + 1) + t]: where transfer t's requests start in
-         *  requests[c]; entry nt is the end of the last one. */
+        /** Per channel: the batch's address runs, grouped by
+         *  transfer, each transfer's in word order. */
+        std::vector<std::vector<AddrRun>> runs;
+        /** [c * (nt + 1) + t]: where transfer t's runs start in
+         *  runs[c]; entry nt is the end of the last one. */
         std::vector<size_t> runBegin;
-        /** Per transfer: its next unadmitted request on the channel
-         *  being serviced. */
+        /** Per transfer, on the channel being serviced: its next
+         *  unadmitted request, as a run index and an offset in it. */
         std::vector<size_t> next;
+        std::vector<int64_t> nextOff;
         std::vector<double> factor;
         std::vector<int64_t> busy, lastEnd, done;
         std::vector<int64_t> svcStart, hits, conflicts, reorderSum;

@@ -73,6 +73,30 @@ parseFrameHeader(const uint8_t *header, FrameKind *kind,
 }
 
 // --- Field walkers, one per record, in wire order. ---
+//
+// The SimConfig walk is the wire format *and* the store-key hash, so a
+// field it skips would let differently configured results alias. Each
+// struct it visits has its own walker naming every field, and a
+// static_assert beside the walker checks the struct's field count. A
+// size check could not: a new field can land in padding.
+
+/** Converts to any field type; only ever used unevaluated. */
+struct AnyField
+{
+    template <class T>
+    operator T() const;
+};
+
+/** Field count of aggregate T: the most initializers T{...} takes. */
+template <class T, class... Fields>
+consteval size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
 
 template <store::MaybeConst<vlsi::MachineSize> R, class V>
 void
@@ -80,39 +104,94 @@ walk(R &size, V &v)
 {
     v(size.clusters, size.alusPerCluster);
 }
+static_assert(fieldCount<vlsi::MachineSize>() == 2,
+              "vlsi::MachineSize changed: walk the new field");
+
+template <store::MaybeConst<vlsi::Params> R, class V>
+void
+walk(R &p, V &v)
+{
+    v(p.aSram, p.aSb, p.wAlu, p.wLrf, p.wSp, p.h, p.v0, p.tCyc, p.tMux,
+      p.eW, p.eAlu, p.eSram, p.eSb, p.eLrf, p.eSp, p.tMem, p.gSrf, p.gSb,
+      p.gComm, p.gSp, p.i0, p.iN, p.lC, p.lO, p.lN, p.rM, p.rUc,
+      p.kCommArea, p.kCommEnergy, p.kIntraEnergy, p.kDistEnergy,
+      p.xbarConnectivity, p.b);
+}
+static_assert(fieldCount<vlsi::Params>() == 33,
+              "vlsi::Params changed: walk the new field");
+
+template <store::MaybeConst<vlsi::Technology> R, class V>
+void
+walk(R &t, V &v)
+{
+    v(t.name, t.trackPitchUm, t.fo4Ps, t.ewFj, t.clockFo4, t.memBwGBs,
+      t.hostBwGBs);
+}
+static_assert(fieldCount<vlsi::Technology>() == 7,
+              "vlsi::Technology changed: walk the new field");
+
+template <store::MaybeConst<mem::DramTiming> R, class V>
+void
+walk(R &t, V &v)
+{
+    v(t.tRas, t.tPre, t.tCol, t.banks, t.rowWords);
+}
+static_assert(fieldCount<mem::DramTiming>() == 5,
+              "mem::DramTiming changed: walk the new field");
+
+template <store::MaybeConst<mem::StreamMemConfig> R, class V>
+void
+walk(R &m, V &v)
+{
+    v(m.channels, m.peakWordsPerCycle, m.latencyCycles);
+    walk(m.timing, v);
+    v(m.schedWindow, m.schedMaxBypass);
+}
+static_assert(fieldCount<mem::StreamMemConfig>() == 6,
+              "mem::StreamMemConfig changed: walk the new field");
+
+template <store::MaybeConst<sim::UcConfig> R, class V>
+void
+walk(R &uc, V &v)
+{
+    v(uc.pipeFillCycles, uc.loadCyclesPerInstruction);
+}
+static_assert(fieldCount<sim::UcConfig>() == 2,
+              "sim::UcConfig changed: walk the new field");
+
+template <store::MaybeConst<energy::DramEnergyParams> R, class V>
+void
+walk(R &d, V &v)
+{
+    v(d.rowHitEnergyEw, d.rowMissEnergyEw, d.channelBusyEnergyEw);
+}
+static_assert(fieldCount<energy::DramEnergyParams>() == 3,
+              "energy::DramEnergyParams changed: walk the new field");
+
+template <store::MaybeConst<energy::AccountantConfig> R, class V>
+void
+walk(R &e, V &v)
+{
+    v(e.idleFraction);
+    walk(e.dram, v);
+}
+static_assert(fieldCount<energy::AccountantConfig>() == 2,
+              "energy::AccountantConfig changed: walk the new field");
 
 template <store::MaybeConst<sim::SimConfig> R, class V>
 void
 walk(R &cfg, V &v)
 {
     walk(cfg.size, v);
-    auto &p = cfg.params;
-    v(p.aSram, p.aSb, p.wAlu, p.wLrf, p.wSp, p.h, p.v0, p.tCyc, p.tMux,
-      p.eW, p.eAlu, p.eSram, p.eSb, p.eLrf, p.eSp, p.tMem, p.gSrf, p.gSb,
-      p.gComm, p.gSp, p.i0, p.iN, p.lC, p.lO, p.lN, p.rM, p.rUc,
-      p.kCommArea, p.kCommEnergy, p.kIntraEnergy, p.kDistEnergy,
-      p.xbarConnectivity, p.b);
-    auto &t = cfg.tech;
-    v(t.name, t.trackPitchUm, t.fo4Ps, t.ewFj, t.clockFo4, t.memBwGBs,
-      t.hostBwGBs);
-    auto &m = cfg.memConfig;
-    v(m.channels, m.peakWordsPerCycle, m.latencyCycles, m.timing.tRas,
-      m.timing.tPre, m.timing.tCol, m.timing.banks, m.timing.rowWords,
-      m.schedWindow, m.schedMaxBypass);
-    v(cfg.ucConfig.pipeFillCycles, cfg.ucConfig.loadCyclesPerInstruction,
-      cfg.hostIssueCycles, cfg.scoreboardDepth);
-    auto &e = cfg.energyConfig;
-    v(e.idleFraction, e.dram.rowHitEnergyEw, e.dram.rowMissEnergyEw,
-      e.dram.channelBusyEnergyEw);
+    walk(cfg.params, v);
+    walk(cfg.tech, v);
+    walk(cfg.memConfig, v);
+    walk(cfg.ucConfig, v);
+    v(cfg.hostIssueCycles, cfg.scoreboardDepth);
+    walk(cfg.energyConfig, v);
 }
-
-// A field that changes SimConfig's size (424 bytes on LP64 hosts)
-// must be walked above: the walk is the wire format *and* the
-// store-key hash, so a field it skips would let differently
-// configured results alias.
-static_assert(sizeof(sim::SimConfig) == 424,
-              "sim::SimConfig changed: add the new field to the walker "
-              "above");
+static_assert(fieldCount<sim::SimConfig>() == 8,
+              "sim::SimConfig changed: walk the new field");
 
 template <store::MaybeConst<EvalPoint> R, class V>
 void

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/fnv.h"
@@ -76,6 +79,221 @@ class ReferenceWindow
     std::deque<Entry> win_;
     int window_;
     int maxBypass_;
+};
+
+/**
+ * StreamMemSystem's original per-request resolve loop, over the
+ * reference window: every word becomes one MemRequest and every
+ * service runs one FR-FCFS pick. Same addressing, extrapolation and
+ * result assembly as the model; no tracing.
+ */
+class ReferenceStreamMem
+{
+  public:
+    explicit ReferenceStreamMem(StreamMemConfig cfg) : cfg_(cfg)
+    {
+        double tcol = cfg_.channels / cfg_.peakWordsPerCycle;
+        cfg_.timing.tCol = std::max(1, static_cast<int>(tcol + 0.5));
+        for (int c = 0; c < cfg_.channels; ++c)
+            dram_.emplace_back(cfg_.timing);
+        freeCycle_.assign(dram_.size(), 0);
+        stats_.assign(dram_.size(), ChannelStats{});
+    }
+
+    int
+    submit(const TransferDesc &d)
+    {
+        pending_.push_back(d);
+        tickets_.push_back(static_cast<int>(results_.size()));
+        results_.push_back(TransferResult{});
+        return tickets_.back();
+    }
+
+    const TransferResult &result(int ticket) const
+    {
+        return results_[static_cast<size_t>(ticket)];
+    }
+    const std::vector<ChannelStats> &channelStats() const
+    {
+        return stats_;
+    }
+    std::vector<BusyInterval>
+    takeBusyIntervals()
+    {
+        return std::exchange(busyIvs_, {});
+    }
+
+    void
+    resolveAll()
+    {
+        constexpr int64_t kSimCap = 8192;
+        constexpr int64_t kFar = std::numeric_limits<int64_t>::max();
+        const int64_t C = cfg_.channels;
+        const size_t nc = dram_.size(), nt = pending_.size();
+        if (nt == 0)
+            return;
+        auto scale = [](int64_t v, double f) {
+            return std::llround(static_cast<double>(v) * f);
+        };
+        // Per channel, per transfer: the transfer's requests there.
+        std::vector<std::vector<std::vector<MemRequest>>> q(
+            nc, std::vector<std::vector<MemRequest>>(nt));
+        std::vector<double> factor(nt, 1.0);
+        for (size_t t = 0; t < nt; ++t) {
+            const TransferDesc &d = pending_[t];
+            int64_t sim = std::min(d.words, kSimCap);
+            if (sim > 0)
+                factor[t] = static_cast<double>(d.words) /
+                            static_cast<double>(sim);
+            int64_t rec = std::max<int64_t>(1, d.recordWords);
+            int64_t stride = d.strideWords > 0 ? d.strideWords : rec;
+            for (int64_t i = 0; i < sim; ++i) {
+                int64_t addr = d.baseWord + (i / rec) * stride + i % rec;
+                q[static_cast<size_t>(addr % C)][t].push_back(
+                    MemRequest{addr / C, d.write});
+            }
+        }
+        std::vector<int64_t> busy(nt * nc, 0), lastEnd(nt * nc, -1),
+            done(nt * nc, -1);
+        std::vector<int64_t> svcStart(nt, kFar), hits(nt, 0),
+            conflicts(nt, 0), reorderSum(nt, 0), reorderMax(nt, 0);
+        for (size_t c = 0; c < nc; ++c) {
+            ReferenceWindow window(dram_[c], cfg_.schedWindow,
+                                   cfg_.schedMaxBypass);
+            std::vector<size_t> next(nt, 0);
+            auto has_more = [&](size_t t) {
+                return next[t] < q[c][t].size();
+            };
+            auto any_left = [&] {
+                for (size_t t = 0; t < nt; ++t)
+                    if (has_more(t))
+                        return true;
+                return false;
+            };
+            int64_t now = freeCycle_[c];
+            size_t rr = 0;
+            int64_t runStart = -1;
+            auto close_run = [&] {
+                if (runStart >= 0 && now > runStart)
+                    busyIvs_.push_back(BusyInterval{runStart, now});
+                runStart = -1;
+            };
+            while (!window.empty() || any_left()) {
+                bool admitted = true;
+                while (window.wantsMore() && admitted) {
+                    admitted = false;
+                    for (size_t k = 0; k < nt; ++k) {
+                        size_t t = (rr + k) % nt;
+                        if (has_more(t) && pending_[t].startCycle <= now) {
+                            window.push(q[c][t][next[t]++],
+                                        static_cast<int>(t));
+                            rr = (t + 1) % nt;
+                            admitted = true;
+                            break;
+                        }
+                    }
+                }
+                if (window.empty()) {
+                    int64_t nxt = kFar;
+                    for (size_t t = 0; t < nt; ++t)
+                        if (has_more(t))
+                            nxt = std::min(nxt, pending_[t].startCycle);
+                    close_run();
+                    now = std::max(now, nxt);
+                    continue;
+                }
+                if (runStart < 0)
+                    runStart = now;
+                WindowService s = window.serviceNext();
+                auto t = static_cast<size_t>(s.tag);
+                svcStart[t] = std::min(svcStart[t], now);
+                now += s.cycles;
+                busy[t * nc + c] += s.cycles;
+                lastEnd[t * nc + c] = now;
+                hits[t] += s.rowHit ? 1 : 0;
+                conflicts[t] += s.bankConflict ? 1 : 0;
+                reorderSum[t] += s.pickIndex;
+                reorderMax[t] = std::max(reorderMax[t], s.pickIndex);
+                ChannelStats &cs = stats_[c];
+                cs.busyCycles += s.cycles;
+                ++cs.accesses;
+                cs.rowHits += s.rowHit ? 1 : 0;
+                cs.bankConflicts += s.bankConflict ? 1 : 0;
+            }
+            close_run();
+            // Extrapolation stretch, in prefix-completion order.
+            std::vector<std::pair<int64_t, size_t>> order;
+            std::vector<int64_t> extra(nt, 0);
+            int64_t total_extra = 0;
+            for (size_t t = 0; t < nt; ++t) {
+                if (lastEnd[t * nc + c] < 0)
+                    continue;
+                extra[t] = scale(busy[t * nc + c], factor[t] - 1.0);
+                order.emplace_back(lastEnd[t * nc + c], t);
+                total_extra += extra[t];
+            }
+            std::stable_sort(order.begin(), order.end(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first < b.first;
+                             });
+            int64_t prefix = 0;
+            for (const auto &[end, t] : order) {
+                prefix += extra[t];
+                done[t * nc + c] = end + prefix;
+            }
+            freeCycle_[c] = now + total_extra;
+            stats_[c].busyCycles += total_extra;
+            if (total_extra > 0 && !busyIvs_.empty())
+                busyIvs_.back().end += total_extra;
+        }
+        for (size_t t = 0; t < nt; ++t) {
+            const TransferDesc &d = pending_[t];
+            TransferResult &r = results_[static_cast<size_t>(tickets_[t])];
+            r.startCycle = d.startCycle;
+            r.dramReorderMax = reorderMax[t];
+            if (d.words <= 0) {
+                r.serviceStart = d.startCycle;
+                r.doneCycle = d.startCycle;
+                continue;
+            }
+            int64_t busy_total = 0, busy_max = 0, end = d.startCycle;
+            for (size_t c = 0; c < nc; ++c) {
+                int64_t b = scale(busy[t * nc + c], factor[t]);
+                busy_total += b;
+                busy_max = std::max(busy_max, b);
+                end = std::max(end, done[t * nc + c]);
+            }
+            r.serviceStart = svcStart[t] == kFar ? d.startCycle
+                                                 : svcStart[t];
+            r.doneCycle = end + cfg_.latencyCycles;
+            r.cycles = r.doneCycle - r.startCycle;
+            r.busyCycles = busy_max;
+            r.aliasStallCycles = C * busy_max - busy_total;
+            r.dramAccesses = d.words;
+            r.dramRowHits =
+                std::clamp<int64_t>(scale(hits[t], factor[t]), 0, d.words);
+            r.dramRowMisses = d.words - r.dramRowHits;
+            r.bankConflicts = std::clamp<int64_t>(
+                scale(conflicts[t], factor[t]), 0, r.dramRowMisses);
+            r.dramReorderSum = scale(reorderSum[t], factor[t]);
+            r.wordsPerCycle = r.cycles > 0
+                                  ? static_cast<double>(d.words) /
+                                        static_cast<double>(r.cycles)
+                                  : 0.0;
+        }
+        pending_.clear();
+        tickets_.clear();
+    }
+
+  private:
+    StreamMemConfig cfg_;
+    std::vector<DramChannel> dram_;
+    std::vector<int64_t> freeCycle_;
+    std::vector<ChannelStats> stats_;
+    std::vector<TransferDesc> pending_;
+    std::vector<int> tickets_;
+    std::vector<TransferResult> results_;
+    std::vector<BusyInterval> busyIvs_;
 };
 
 /** How a case draws its request addresses. */
@@ -168,6 +386,131 @@ TEST(AccessWindowDiffTest, MatchesDequeReferenceOnRandomStreams)
     }
     // The miss floods must actually drive requests into the age cap.
     EXPECT_GT(age_capped, 100);
+}
+
+/** A batch of 2-6 concurrent transfers for the resolve-loop diff. */
+std::vector<TransferDesc>
+resolveBatch(Prng &rng, int channels, int64_t now)
+{
+    std::vector<TransferDesc> out;
+    const int n = 2 + static_cast<int>(rng.below(5));
+    for (int t = 0; t < n; ++t) {
+        TransferDesc d;
+        d.write = rng.below(2) == 1;
+        // Staggered starts: some before the channels free up, some
+        // far enough out to leave idle gaps.
+        d.startCycle = now + rng.below(3) * rng.below(3000);
+        switch (rng.below(4)) {
+          case 0: // long unit-stride: many rows and banks per channel
+            d.words = 2000 + rng.below(12000);
+            d.baseWord = rng.below(1 << 20);
+            break;
+          case 1: // records with gaps between them
+            d.recordWords = 1 + rng.below(12);
+            d.strideWords = d.recordWords + rng.below(30);
+            d.words = 1 + rng.below(5000);
+            d.baseWord = rng.below(1 << 18);
+            break;
+          case 2: // a stride that is a multiple of C: aliased channels
+            d.recordWords = 1 + rng.below(2);
+            d.strideWords = channels * (1 + rng.below(4));
+            d.words = 1 + rng.below(4000);
+            d.baseWord = rng.below(1 << 16);
+            break;
+          default: // short transfers, overlapping records too
+            d.recordWords = 1 + rng.below(4);
+            d.strideWords = rng.below(2) == 0 ? 0 : 1 + rng.below(9);
+            d.words = rng.below(300);
+            d.baseWord = rng.below(4096);
+            break;
+        }
+        out.push_back(d);
+    }
+    return out;
+}
+
+TEST(StreamMemDiffTest, RunLengthServiceMatchesPerRequestReference)
+{
+    int cases = 0;
+    int64_t reordered = 0, extrapolated = 0;
+    for (int channels : {3, 5, 7, 8}) {
+        for (int window : {1, 2, 16}) {
+            for (int max_bypass : {1, 64}) {
+                StreamMemConfig cfg;
+                cfg.channels = channels;
+                cfg.schedWindow = window;
+                cfg.schedMaxBypass = max_bypass;
+                const uint64_t seed = 0xd1ff0000u + 131u * cases++;
+                Prng rng(seed);
+                StreamMemSystem sys(cfg);
+                ReferenceStreamMem ref(cfg);
+                int64_t now = 0;
+                for (int batch = 0; batch < 6; ++batch) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "seed 0x" << std::hex << seed
+                                 << std::dec << " C " << channels
+                                 << " window " << window << " maxBypass "
+                                 << max_bypass << " batch " << batch);
+                    std::vector<int> tickets, ref_tickets;
+                    for (const TransferDesc &d :
+                         resolveBatch(rng, channels, now)) {
+                        tickets.push_back(sys.submit(d));
+                        ref_tickets.push_back(ref.submit(d));
+                        extrapolated += d.words > 8192 ? 1 : 0;
+                    }
+                    sys.resolveAll();
+                    ref.resolveAll();
+                    for (size_t i = 0; i < tickets.size(); ++i) {
+                        const TransferResult &a = sys.result(tickets[i]);
+                        const TransferResult &b =
+                            ref.result(ref_tickets[i]);
+                        SCOPED_TRACE(testing::Message() << "transfer " << i);
+                        EXPECT_EQ(a.startCycle, b.startCycle);
+                        EXPECT_EQ(a.serviceStart, b.serviceStart);
+                        EXPECT_EQ(a.doneCycle, b.doneCycle);
+                        EXPECT_EQ(a.cycles, b.cycles);
+                        EXPECT_EQ(a.busyCycles, b.busyCycles);
+                        EXPECT_EQ(a.wordsPerCycle, b.wordsPerCycle);
+                        EXPECT_EQ(a.dramAccesses, b.dramAccesses);
+                        EXPECT_EQ(a.dramRowHits, b.dramRowHits);
+                        EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
+                        EXPECT_EQ(a.bankConflicts, b.bankConflicts);
+                        EXPECT_EQ(a.dramReorderSum, b.dramReorderSum);
+                        EXPECT_EQ(a.dramReorderMax, b.dramReorderMax);
+                        EXPECT_EQ(a.aliasStallCycles, b.aliasStallCycles);
+                        reordered += b.dramReorderSum > 0 ? 1 : 0;
+                        now = std::max(now, b.doneCycle);
+                    }
+                    for (int c = 0; c < channels; ++c) {
+                        const ChannelStats &a =
+                            sys.channelStats()[static_cast<size_t>(c)];
+                        const ChannelStats &b =
+                            ref.channelStats()[static_cast<size_t>(c)];
+                        EXPECT_EQ(a.busyCycles, b.busyCycles) << "channel " << c;
+                        EXPECT_EQ(a.accesses, b.accesses) << "channel " << c;
+                        EXPECT_EQ(a.rowHits, b.rowHits) << "channel " << c;
+                        EXPECT_EQ(a.bankConflicts, b.bankConflicts)
+                            << "channel " << c;
+                    }
+                    std::vector<BusyInterval> a = sys.takeBusyIntervals();
+                    std::vector<BusyInterval> b = ref.takeBusyIntervals();
+                    ASSERT_EQ(a.size(), b.size());
+                    for (size_t i = 0; i < a.size(); ++i) {
+                        EXPECT_EQ(a[i].start, b[i].start) << "interval " << i;
+                        EXPECT_EQ(a[i].end, b[i].end) << "interval " << i;
+                    }
+                    if (HasFailure())
+                        return;
+                    // Next batch: sometimes back to back, sometimes
+                    // after the channels have gone idle.
+                    now = rng.below(2) == 0 ? now / 2 : now + 500;
+                }
+            }
+        }
+    }
+    // The batches must reach the reordering and extrapolation paths.
+    EXPECT_GT(reordered, 20);
+    EXPECT_GT(extrapolated, 10);
 }
 
 /** One batch of overlapping transfers with varied addressing. */
