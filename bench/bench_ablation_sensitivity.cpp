@@ -7,13 +7,16 @@
  *      memory-bound?),
  *  (3) per-call overheads (what do short streams really cost?), and
  *  (4) SRF capacity (rm) -- where the QRD residency crossover lands.
+ *
+ * Sweeps (2)-(4) submit each app point to one svc::EvalService with
+ * the swept sim::SimConfig as the point's explicit override.
  */
 #include <cstdio>
 
 #include "common/table.h"
-#include "core/design.h"
-#include "sim/processor.h"
-#include "workloads/suite.h"
+#include "srf/srf.h"
+#include "svc/eval_service.h"
+#include "vlsi/cost_model.h"
 
 namespace {
 
@@ -49,7 +52,7 @@ weightSensitivity()
 }
 
 void
-memoryBandwidthSweep()
+memoryBandwidthSweep(sps::svc::EvalService &service)
 {
     using namespace sps;
     using sps::TextTable;
@@ -57,30 +60,20 @@ memoryBandwidthSweep()
     t.header({"mem GB/s", "DEPTH speedup", "mem busy", "CONV speedup",
               "mem busy", "RENDER speedup", "mem busy"});
     for (double gbs : {4.0, 16.0, 64.0}) {
+        sim::SimConfig cfg;
+        cfg.memConfig.peakWordsPerCycle = gbs / 4.0;
         std::vector<std::string> row{TextTable::num(gbs, 0)};
         for (const char *name : {"DEPTH", "CONV", "RENDER"}) {
-            for (const auto &app : workloads::appSuite()) {
-                if (app.name != name)
-                    continue;
-                auto run = [&](vlsi::MachineSize size) {
-                    sim::SimConfig cfg;
-                    cfg.size = size;
-                    cfg.memConfig.peakWordsPerCycle = gbs / 4.0;
-                    sim::StreamProcessor proc(cfg);
-                    return proc.run(app.build(size, proc.srf()));
-                };
-                sim::SimResult small = run({8, 5});
-                sim::SimResult big = run({128, 10});
-                double speedup =
-                    static_cast<double>(small.cycles) /
-                    static_cast<double>(big.cycles);
-                row.push_back(TextTable::num(speedup, 1) + "x");
-                // Memory-pin occupancy of the big machine: near 1.0
-                // means the app has gone memory-bound at this
-                // bandwidth point.
-                row.push_back(
-                    TextTable::num(big.memBusyFraction(), 2));
-            }
+            sim::SimResult small =
+                service.eval(svc::EvalPoint{name, {8, 5}, cfg});
+            sim::SimResult big =
+                service.eval(svc::EvalPoint{name, {128, 10}, cfg});
+            double speedup = static_cast<double>(small.cycles) /
+                             static_cast<double>(big.cycles);
+            row.push_back(TextTable::num(speedup, 1) + "x");
+            // Memory-pin occupancy of the big machine: near 1.0 means
+            // the app has gone memory-bound at this bandwidth point.
+            row.push_back(TextTable::num(big.memBusyFraction(), 2));
         }
         t.row(row);
     }
@@ -90,7 +83,7 @@ memoryBandwidthSweep()
 }
 
 void
-overheadSweep()
+overheadSweep(sps::svc::EvalService &service)
 {
     using namespace sps;
     using sps::TextTable;
@@ -99,23 +92,19 @@ overheadSweep()
               "FFT4K speedup"});
     for (int host : {2, 8, 32}) {
         for (int fill : {8, 32}) {
+            sim::SimConfig cfg;
+            cfg.hostIssueCycles = host;
+            cfg.ucConfig.pipeFillCycles = fill;
             std::vector<std::string> row{std::to_string(host),
                                          std::to_string(fill)};
-            for (int points : {1024, 4096}) {
-                auto run = [&](vlsi::MachineSize size) {
-                    sim::SimConfig cfg;
-                    cfg.size = size;
-                    cfg.hostIssueCycles = host;
-                    cfg.ucConfig.pipeFillCycles = fill;
-                    sim::StreamProcessor proc(cfg);
-                    return proc
-                        .run(workloads::buildFftApp(size, proc.srf(),
-                                                    points))
+            for (const char *name : {"FFT1K", "FFT4K"}) {
+                auto cycles = [&](vlsi::MachineSize size) {
+                    return service.eval(svc::EvalPoint{name, size, cfg})
                         .cycles;
                 };
                 double speedup =
-                    static_cast<double>(run({8, 5})) /
-                    static_cast<double>(run({128, 10}));
+                    static_cast<double>(cycles({8, 5})) /
+                    static_cast<double>(cycles({128, 10}));
                 row.push_back(TextTable::num(speedup, 1) + "x");
             }
             t.row(row);
@@ -127,7 +116,7 @@ overheadSweep()
 }
 
 void
-srfCapacitySweep()
+srfCapacitySweep(sps::svc::EvalService &service)
 {
     using namespace sps;
     using sps::TextTable;
@@ -138,11 +127,12 @@ srfCapacitySweep()
         sim::SimConfig cfg;
         cfg.size = {32, 5};
         cfg.params.rM = rm;
-        sim::StreamProcessor proc(cfg);
-        auto prog = workloads::buildQrd(cfg.size, proc.srf());
-        auto r = proc.run(prog);
+        sim::SimResult r =
+            service.eval(svc::EvalPoint{"QRD", cfg.size, cfg});
+        int64_t srf_words =
+            srf::SrfModel::forMachine(cfg.size, cfg.params).capacityWords;
         t.row({TextTable::num(rm, 0),
-               std::to_string(proc.srf().capacityWords * 4 / 1024),
+               std::to_string(srf_words * 4 / 1024),
                std::to_string(r.memWords),
                std::to_string(r.cycles)});
     }
@@ -157,8 +147,9 @@ int
 main()
 {
     weightSensitivity();
-    memoryBandwidthSweep();
-    overheadSweep();
-    srfCapacitySweep();
+    sps::svc::EvalService service;
+    memoryBandwidthSweep(service);
+    overheadSweep(service);
+    srfCapacitySweep(service);
     return 0;
 }

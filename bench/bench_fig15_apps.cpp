@@ -41,29 +41,30 @@ namespace {
 int
 exportTrace(const std::string &app_name, const std::string &path)
 {
-    for (const auto &app : sps::workloads::appSuite()) {
-        if (app.name != app_name)
-            continue;
-        sps::core::StreamProcessorDesign d(sps::core::kBaseline);
-        sps::sim::StreamProcessor proc = d.makeProcessor();
-        sps::stream::StreamProgram prog =
-            app.build(sps::core::kBaseline, proc.srf());
-        sps::trace::Tracer tracer;
-        sps::sim::RunOptions opts;
-        opts.tracer = &tracer;
-        sps::sim::SimResult res = proc.run(prog, opts);
-        if (!sps::trace::writeChromeTrace(tracer, path)) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
-            return 1;
-        }
-        std::printf("wrote %zu trace events for %s (%lld cycles) to "
-                    "%s -- open in https://ui.perfetto.dev\n",
-                    tracer.size(), app_name.c_str(),
-                    static_cast<long long>(res.cycles), path.c_str());
-        return 0;
+    const sps::workloads::AppEntry *app =
+        sps::workloads::findApp(app_name);
+    if (!app) {
+        std::fprintf(stderr, "unknown application %s\n",
+                     app_name.c_str());
+        return 1;
     }
-    std::fprintf(stderr, "unknown application %s\n", app_name.c_str());
-    return 1;
+    sps::core::StreamProcessorDesign d(sps::core::kBaseline);
+    sps::sim::StreamProcessor proc = d.makeProcessor();
+    sps::stream::StreamProgram prog =
+        app->build(sps::core::kBaseline, proc.srf());
+    sps::trace::Tracer tracer;
+    sps::sim::RunOptions opts;
+    opts.tracer = &tracer;
+    sps::sim::SimResult res = proc.run(prog, opts);
+    if (!sps::trace::writeChromeTrace(tracer, path)) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return 1;
+    }
+    std::printf("wrote %zu trace events for %s (%lld cycles) to "
+                "%s -- open in https://ui.perfetto.dev\n",
+                tracer.size(), app_name.c_str(),
+                static_cast<long long>(res.cycles), path.c_str());
+    return 0;
 }
 
 } // namespace

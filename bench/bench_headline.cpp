@@ -18,6 +18,8 @@
  * kernel: reference engine, lowered engine forced scalar, and lowered
  * engine on the host's best SIMD backend) and writes the numbers to
  * BENCH_interp.json so the perf trajectory is recorded across PRs.
+ * Both JSON files go to the bench build directory (SPS_BENCH_JSON_DIR,
+ * set by CMake), never over the tracked copies in the source tree.
  * The SIMD aggregate speedup is gated (>= 8x over the reference) via
  * the exit code, alongside the energy within-2x gate.
  *
@@ -26,6 +28,11 @@
  * C = 1..16 (N = 5), aggregated over the app suite and normalized to
  * C = 8, next to the analytical Figure 10 curve -- written to
  * BENCH_energy.json with the per-point measured/analytic ratios.
+ *
+ * Every app simulation goes through svc::EvalService: the headline
+ * app speedups read the cold serial figure suite's Figure-15 grid,
+ * and the energy points are submitted to the warm parallel service,
+ * where the C = 8 and C = 16 points are grid hits.
  */
 #include <algorithm>
 #include <chrono>
@@ -136,13 +143,13 @@ struct EnergyScalePoint
 
 /**
  * Measured intercluster energy-per-ALU-op scaling: run the whole app
- * suite at each C (N = 5) through the simulator, aggregate the
+ * suite at each C (N = 5) through the service, aggregate the
  * paper-scope (no DRAM) energy over total ALU ops, and normalize to
  * the C = 8 baseline -- the measured counterpart of the analytical
  * Figure 10 energy curve.
  */
 std::vector<EnergyScalePoint>
-energyScaling(sps::core::EvalEngine &eng)
+energyScaling(sps::svc::EvalService &service)
 {
     using namespace sps;
     const std::vector<int> cs{1, 2, 4, 8, 16};
@@ -152,24 +159,20 @@ energyScaling(sps::core::EvalEngine &eng)
         double ew = 0.0;
         double ops = 0.0;
     };
-    auto cells = eng.map(cs.size() * apps.size(), [&](size_t idx) {
-        vlsi::MachineSize size{cs[idx / apps.size()], 5};
-        const auto &app = apps[idx % apps.size()];
-        core::StreamProcessorDesign d(size);
-        sim::StreamProcessor proc = d.makeProcessor();
-        stream::StreamProgram prog = app.build(size, proc.srf());
-        sim::SimResult res = proc.run(prog);
-        Cell cell;
-        cell.ew = res.energy.scaledTotalEw();
-        cell.ops = static_cast<double>(res.energy.aluOps);
-        return cell;
-    });
+    // Submit every point before collecting any, so the misses batch
+    // into one engine dispatch.
+    std::vector<std::shared_future<sim::SimResult>> futures;
+    for (int c : cs)
+        for (const auto &app : apps)
+            futures.push_back(
+                service.submit(svc::EvalPoint{app.name, {c, 5}, {}}));
 
     std::map<int, Cell> by_c;
-    for (size_t i = 0; i < cells.size(); ++i) {
+    for (size_t i = 0; i < futures.size(); ++i) {
+        const sim::SimResult &res = futures[i].get();
         auto &acc = by_c[cs[i / apps.size()]];
-        acc.ew += cells[i].ew;
-        acc.ops += cells[i].ops;
+        acc.ew += res.energy.scaledTotalEw();
+        acc.ops += static_cast<double>(res.energy.aluOps);
     }
 
     vlsi::CostModel model;
@@ -269,36 +272,7 @@ main(int argc, char **argv)
         sps::sched::ScheduleCache::global().attachStore(store);
     }
 
-    sps::core::Headline h = sps::core::headlineNumbers(true);
-
-    TextTable t;
-    t.header({"Metric", "measured", "paper"});
-    t.row({"640-ALU kernel speedup (HM)",
-           TextTable::num(h.kernelSpeedup640, 1) + "x", "15.3x"});
-    t.row({"640-ALU app speedup (HM)",
-           TextTable::num(h.appSpeedup640, 1) + "x", "8.0x"});
-    t.row({"640-ALU kernel GOPS (mean)",
-           TextTable::num(h.kernelGops640, 0), ">300"});
-    t.row({"640-ALU area/ALU degradation",
-           TextTable::num(100 * h.areaPerAluDegradation640, 1) + "%",
-           "2%"});
-    t.row({"640-ALU energy/op degradation",
-           TextTable::num(100 * h.energyPerOpDegradation640, 1) + "%",
-           "7%"});
-    t.row({"1280-ALU kernel speedup (HM)",
-           TextTable::num(h.kernelSpeedup1280, 1) + "x", "27.9x"});
-    t.row({"1280-ALU app speedup (HM)",
-           TextTable::num(h.appSpeedup1280, 1) + "x", "10.4x"});
-
-    sps::core::StreamProcessorDesign big({128, 10});
-    t.row({"1280-ALU peak GOPS (subword x2)",
-           TextTable::num(2 * big.peakGops(), 0), ">1000"});
-    t.row({"1280-ALU power (W)",
-           TextTable::num(big.powerWatts(), 1), "<10"});
-
-    std::printf("Headline: scaled machines vs the 40-ALU baseline\n\n"
-                "%s\n",
-                t.toString().c_str());
+    sps::core::Headline h = sps::core::headlineNumbers();
 
     // --- Evaluation-engine throughput: the full figure suite ---
     sps::core::EvalEngine serial(1);
@@ -315,9 +289,46 @@ main(int argc, char **argv)
     using sps::bench::runFigureSuite;
     cache.clear();
     serial_svc.clearMemory();
-    double cold_serial = runFigureSuite(serial, serial_svc).seconds;
+    sps::bench::FigureSuiteRun cold = runFigureSuite(serial, serial_svc);
+    double cold_serial = cold.seconds;
     auto after_cold = cache.counters();
     uint64_t sims_cold = sims(serial_svc);
+
+    // The headline app speedups are Figure-15 grid points: read them
+    // off the cold run instead of simulating them again.
+    using sps::core::harmonicMeanSpeedup;
+    const double app640 = harmonicMeanSpeedup(cold.fig15, {128, 5});
+    const double app1280 = harmonicMeanSpeedup(cold.fig15, {128, 10});
+
+    TextTable t;
+    t.header({"Metric", "measured", "paper"});
+    t.row({"640-ALU kernel speedup (HM)",
+           TextTable::num(h.kernelSpeedup640, 1) + "x", "15.3x"});
+    t.row({"640-ALU app speedup (HM)",
+           TextTable::num(app640, 1) + "x", "8.0x"});
+    t.row({"640-ALU kernel GOPS (mean)",
+           TextTable::num(h.kernelGops640, 0), ">300"});
+    t.row({"640-ALU area/ALU degradation",
+           TextTable::num(100 * h.areaPerAluDegradation640, 1) + "%",
+           "2%"});
+    t.row({"640-ALU energy/op degradation",
+           TextTable::num(100 * h.energyPerOpDegradation640, 1) + "%",
+           "7%"});
+    t.row({"1280-ALU kernel speedup (HM)",
+           TextTable::num(h.kernelSpeedup1280, 1) + "x", "27.9x"});
+    t.row({"1280-ALU app speedup (HM)",
+           TextTable::num(app1280, 1) + "x", "10.4x"});
+
+    sps::core::StreamProcessorDesign big({128, 10});
+    t.row({"1280-ALU peak GOPS (subword x2)",
+           TextTable::num(2 * big.peakGops(), 0), ">1000"});
+    t.row({"1280-ALU power (W)",
+           TextTable::num(big.powerWatts(), 1), "<10"});
+
+    std::printf("Headline: scaled machines vs the 40-ALU baseline\n\n"
+                "%s\n",
+                t.toString().c_str());
+
     double warm_serial = runFigureSuite(serial, serial_svc).seconds;
     auto after_warm = cache.counters();
     uint64_t sims_warm = sims(serial_svc) - sims_cold;
@@ -413,11 +424,11 @@ main(int argc, char **argv)
                     sps::interp::bestSimdBackend()),
                 it.toString().c_str(), aggregate, interp_gate,
                 interp_fast ? "yes" : "NO");
-    writeInterpJson("BENCH_interp.json", interp_c, interp_records,
-                    rows, aggregate);
+    writeInterpJson(SPS_BENCH_JSON_DIR "/BENCH_interp.json", interp_c,
+                    interp_records, rows, aggregate);
 
     // --- Energy model: measured vs analytical Figure 10 scaling ---
-    std::vector<EnergyScalePoint> epts = energyScaling(parallel);
+    std::vector<EnergyScalePoint> epts = energyScaling(*parallel_svc);
     TextTable et;
     et.header({"C (N=5)", "measured E/op", "analytic E/op",
                "ratio"});
@@ -435,6 +446,6 @@ main(int argc, char **argv)
                 "every point within 2x of the Figure 10 curve: %s "
                 "(written to BENCH_energy.json)\n",
                 et.toString().c_str(), within2x ? "yes" : "NO");
-    writeEnergyJson("BENCH_energy.json", epts);
+    writeEnergyJson(SPS_BENCH_JSON_DIR "/BENCH_energy.json", epts);
     return within2x && interp_fast ? 0 : 1;
 }

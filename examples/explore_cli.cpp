@@ -8,7 +8,6 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/design.h"
 #include "sched/schedule_dump.h"
@@ -68,27 +67,22 @@ main(int argc, char **argv)
 
     if (argc >= 4) {
         const char *app_name = argv[3];
-        for (const auto &app : workloads::appSuite()) {
-            if (std::strcmp(app.name.c_str(), app_name) != 0)
-                continue;
-            sim::StreamProcessor proc = d.makeProcessor();
-            stream::StreamProgram prog =
-                app.build(d.size(), proc.srf());
-            sim::SimResult r = proc.run(prog);
-            std::printf("\n%s: %lld cycles, %.1f GOPS, memory busy "
-                        "%.0f%%, SRF high water %lld/%lld words\n\n",
-                        app.name.c_str(),
-                        static_cast<long long>(r.cycles),
-                        r.gops(d.tech().clockGHz()),
-                        100 * r.memBusyFraction(),
-                        static_cast<long long>(r.srfHighWater),
-                        static_cast<long long>(
-                            proc.srf().capacityWords));
-            std::printf("%s", sim::renderTimeline(r).c_str());
-            return 0;
+        const workloads::AppEntry *app = workloads::findApp(app_name);
+        if (!app) {
+            std::fprintf(stderr, "unknown app %s\n", app_name);
+            return 2;
         }
-        std::fprintf(stderr, "unknown app %s\n", app_name);
-        return 2;
+        sim::StreamProcessor proc = d.makeProcessor();
+        stream::StreamProgram prog = app->build(d.size(), proc.srf());
+        sim::SimResult r = proc.run(prog);
+        std::printf("\n%s: %lld cycles, %.1f GOPS, memory busy "
+                    "%.0f%%, SRF high water %lld/%lld words\n\n",
+                    app->name.c_str(), static_cast<long long>(r.cycles),
+                    r.gops(d.tech().clockGHz()),
+                    100 * r.memBusyFraction(),
+                    static_cast<long long>(r.srfHighWater),
+                    static_cast<long long>(proc.srf().capacityWords));
+        std::printf("%s", sim::renderTimeline(r).c_str());
     }
     return 0;
 }

@@ -54,11 +54,4 @@ StreamProcessorDesign::makeProcessor() const
     return sim::StreamProcessor(cfg);
 }
 
-sim::SimResult
-StreamProcessorDesign::simulate(const stream::StreamProgram &prog) const
-{
-    sim::StreamProcessor proc = makeProcessor();
-    return proc.run(prog);
-}
-
 } // namespace sps::core

@@ -65,9 +65,6 @@ class StreamProcessorDesign
     /** A simulator instance configured for this design. */
     sim::StreamProcessor makeProcessor() const;
 
-    /** Build and run a stream program on a fresh processor. */
-    sim::SimResult simulate(const stream::StreamProgram &prog) const;
-
   private:
     vlsi::MachineSize size_;
     vlsi::Params params_;

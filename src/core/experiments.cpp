@@ -1,6 +1,5 @@
 #include "core/experiments.h"
 
-#include "common/log.h"
 #include "common/stats.h"
 #include "core/eval_engine.h"
 #include "workloads/suite.h"
@@ -108,78 +107,20 @@ table5PerfPerArea(const std::vector<int> &n_values,
     return out;
 }
 
-AppPoint
-runApp(const std::string &app_name, vlsi::MachineSize size)
+double
+harmonicMeanSpeedup(const std::vector<AppPoint> &fig15,
+                    vlsi::MachineSize size)
 {
-    for (const auto &app : workloads::appSuite()) {
-        if (app.name != app_name)
-            continue;
-        StreamProcessorDesign d(size);
-        sim::StreamProcessor proc = d.makeProcessor();
-        stream::StreamProgram prog = app.build(size, proc.srf());
-        sim::SimResult res = proc.run(prog);
-
-        StreamProcessorDesign base(kBaseline);
-        sim::StreamProcessor bproc = base.makeProcessor();
-        stream::StreamProgram bprog = app.build(kBaseline, bproc.srf());
-        sim::SimResult bres = bproc.run(bprog);
-
-        AppPoint pt;
-        pt.app = app_name;
-        pt.size = size;
-        pt.cycles = res.cycles;
-        pt.speedup = static_cast<double>(bres.cycles) /
-                     static_cast<double>(res.cycles);
-        pt.gops = res.gops(d.tech().clockGHz());
-        pt.result = std::move(res);
-        return pt;
-    }
-    fatal("unknown application %s", app_name.c_str());
-}
-
-std::vector<AppPoint>
-appPerformance(const std::vector<int> &c_values,
-               const std::vector<int> &n_values, EvalEngine *engine)
-{
-    EvalEngine &eng = resolveEngine(engine);
-    auto apps = workloads::appSuite();
-
-    // Baseline simulation once per app, then one job per grid point;
-    // index order matches the old nested app -> n -> c loops.
-    std::vector<int64_t> base_cycles =
-        eng.map(apps.size(), [&](size_t a) {
-            StreamProcessorDesign base(kBaseline);
-            sim::StreamProcessor bproc = base.makeProcessor();
-            stream::StreamProgram bprog =
-                apps[a].build(kBaseline, bproc.srf());
-            return bproc.run(bprog).cycles;
-        });
-
-    const size_t per_app = n_values.size() * c_values.size();
-    return eng.map(apps.size() * per_app, [&](size_t idx) {
-        const auto &app = apps[idx / per_app];
-        size_t rem = idx % per_app;
-        int n = n_values[rem / c_values.size()];
-        int c = c_values[rem % c_values.size()];
-        vlsi::MachineSize size{c, n};
-        StreamProcessorDesign d(size);
-        sim::StreamProcessor proc = d.makeProcessor();
-        stream::StreamProgram prog = app.build(size, proc.srf());
-        sim::SimResult res = proc.run(prog);
-        AppPoint pt;
-        pt.app = app.name;
-        pt.size = size;
-        pt.cycles = res.cycles;
-        pt.speedup = static_cast<double>(base_cycles[idx / per_app]) /
-                     static_cast<double>(res.cycles);
-        pt.gops = res.gops(d.tech().clockGHz());
-        pt.result = std::move(res);
-        return pt;
-    });
+    std::vector<double> speedups;
+    for (const AppPoint &pt : fig15)
+        if (pt.size.clusters == size.clusters &&
+            pt.size.alusPerCluster == size.alusPerCluster)
+            speedups.push_back(pt.speedup);
+    return harmonicMean(speedups);
 }
 
 Headline
-headlineNumbers(bool include_apps, EvalEngine *engine)
+headlineNumbers(EvalEngine *engine)
 {
     EvalEngine &eng = resolveEngine(engine);
     Headline h;
@@ -227,22 +168,6 @@ headlineNumbers(bool include_apps, EvalEngine *engine)
     h.kernelSpeedup1280 = harmonicMean(sp1280);
     h.kernelGops640 = arithmeticMean(gops640);
 
-    if (include_apps) {
-        auto apps = workloads::appSuite();
-        std::vector<std::pair<double, double>> sp =
-            eng.map(apps.size(), [&](size_t a) {
-                return std::pair<double, double>{
-                    runApp(apps[a].name, big640).speedup,
-                    runApp(apps[a].name, big1280).speedup};
-            });
-        std::vector<double> a640, a1280;
-        for (const auto &[s640, s1280] : sp) {
-            a640.push_back(s640);
-            a1280.push_back(s1280);
-        }
-        h.appSpeedup640 = harmonicMean(a640);
-        h.appSpeedup1280 = harmonicMean(a1280);
-    }
     return h;
 }
 

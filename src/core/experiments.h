@@ -1,15 +1,19 @@
 /**
  * @file
- * Experiment runners: the data series behind every performance table
- * and figure in the paper's evaluation (Figures 13-15, Table 5, plus
- * the headline comparisons). The bench binaries format these; the
- * integration tests assert their shapes.
+ * Experiment runners: the kernel and cost data series behind the
+ * paper's evaluation (Figures 13-14, Table 5, and the headline kernel
+ * and cost comparisons), plus the Figure-15 AppPoint record. The
+ * bench binaries format these; the integration tests assert their
+ * shapes.
  *
- * Every runner routes through an EvalEngine: design points evaluate
- * concurrently on its thread pool and kernel compilations memoize in
- * the shared schedule cache, while results are collected in the same
- * deterministic axis order the old serial loops produced. Passing
- * nullptr (the default) uses EvalEngine::global().
+ * Every runner here routes through an EvalEngine: design points
+ * evaluate concurrently on its thread pool and kernel compilations
+ * memoize in the shared schedule cache, while results are collected
+ * in deterministic axis order. Passing nullptr (the default) uses
+ * EvalEngine::global(). App simulations are not run here: every app
+ * point goes through svc::EvalService, whose appPerformance builds
+ * the Figure-15 grid, and harmonicMeanSpeedup() reads the headline
+ * app speedups off that grid.
  */
 #ifndef SPS_CORE_EXPERIMENTS_H
 #define SPS_CORE_EXPERIMENTS_H
@@ -81,35 +85,34 @@ struct AppPoint
     sim::SimResult result;
 };
 
-/** Figure 15: application performance across the (C, N) grid. */
-std::vector<AppPoint>
-appPerformance(const std::vector<int> &c_values = {8, 16, 32, 64, 128},
-               const std::vector<int> &n_values = {2, 5, 10, 14},
-               EvalEngine *engine = nullptr);
+/**
+ * Harmonic-mean speedup of the Figure-15 grid's points at `size`, in
+ * grid (app-suite) order: the headline app numbers read the grid
+ * svc::EvalService::appPerformance computed instead of simulating
+ * those points again. The grid must hold at least one point at
+ * `size`.
+ */
+double harmonicMeanSpeedup(const std::vector<AppPoint> &fig15,
+                           vlsi::MachineSize size);
 
-/** Run one app at one size (helper for tests and examples). */
-AppPoint runApp(const std::string &app_name, vlsi::MachineSize size);
-
-/** The paper's headline comparison (Abstract / Section 6). */
+/**
+ * The paper's headline kernel and cost comparison (Abstract /
+ * Section 6); the app speedups are harmonicMeanSpeedup() of the
+ * Figure-15 grid.
+ */
 struct Headline
 {
     /** C=128 N=5 (640 ALUs) vs C=8 N=5 (40 ALUs). */
     double kernelSpeedup640 = 0.0;
-    double appSpeedup640 = 0.0;
     double areaPerAluDegradation640 = 0.0;   // fraction, e.g. 0.02
     double energyPerOpDegradation640 = 0.0;  // fraction, e.g. 0.07
     double kernelGops640 = 0.0;
     /** C=128 N=10 (1280 ALUs) vs C=8 N=5. */
     double kernelSpeedup1280 = 0.0;
-    double appSpeedup1280 = 0.0;
 };
 
-/**
- * Compute the headline numbers; pass false to skip the (slower)
- * application simulations.
- */
-Headline headlineNumbers(bool include_apps = true,
-                         EvalEngine *engine = nullptr);
+/** Compute the headline kernel and cost numbers. */
+Headline headlineNumbers(EvalEngine *engine = nullptr);
 
 } // namespace sps::core
 

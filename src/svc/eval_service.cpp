@@ -146,11 +146,8 @@ EvalService::runJob(Job &job)
     sim::SimResult res;
     std::exception_ptr err;
     try {
-        const workloads::AppEntry *entry = nullptr;
-        auto apps = workloads::appSuite();
-        for (const auto &app : apps)
-            if (app.name == job.pt.app)
-                entry = &app;
+        const workloads::AppEntry *entry =
+            workloads::findApp(job.pt.app);
         if (!entry)
             // Delivered through the requester's future, not fatal():
             // a bad request must not take the whole service down.

@@ -84,7 +84,8 @@ sim::SimConfig effectiveSimConfig(const EvalPoint &pt);
  * The canonical Figure-15 submission order: one baseline point per
  * app, then the app -> n -> c grid. Both EvalService::appPerformance
  * and the socket client submit in exactly this order, which is what
- * keeps their CSVs byte-identical to core::appPerformance.
+ * keeps a client-driven sweep's CSVs byte-identical to the
+ * in-process one.
  */
 struct AppSweepPlan
 {
@@ -153,12 +154,13 @@ class EvalService
     sim::SimResult eval(const EvalPoint &pt);
 
     /**
-     * Figure 15 through the service: same output as
-     * core::appPerformance (deterministic axis order, identical
-     * values), but every (app, size) simulation -- baselines included
-     * -- is submitted through the tiered, dedup'd queue. The baseline
-     * point dedups against its grid twin when the grid contains
-     * core::kBaseline.
+     * Figure 15: the (C, N) grid in deterministic app -> n -> c
+     * order, speedups against core::kBaseline. Every (app, size)
+     * simulation -- baselines included -- is submitted through the
+     * tiered, dedup'd queue; the baseline point dedups against its
+     * grid twin when the grid contains core::kBaseline. The one
+     * producer of the Figure-15 grid the figures, the headline and
+     * the daemon read.
      */
     std::vector<core::AppPoint>
     appPerformance(const std::vector<int> &c_values,

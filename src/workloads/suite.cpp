@@ -99,4 +99,14 @@ appSuite()
     };
 }
 
+const AppEntry *
+findApp(const std::string &name)
+{
+    static const std::vector<AppEntry> apps = appSuite();
+    for (const AppEntry &app : apps)
+        if (app.name == name)
+            return &app;
+    return nullptr;
+}
+
 } // namespace sps::workloads

@@ -60,6 +60,13 @@ struct AppEntry
 /** The six applications of Figure 15 (Table 4's application rows). */
 std::vector<AppEntry> appSuite();
 
+/**
+ * The appSuite() entry named `name`, or nullptr for an unknown name.
+ * Entries come from a function-local static suite, so the pointer
+ * stays valid for the life of the process.
+ */
+const AppEntry *findApp(const std::string &name);
+
 // Individual application builders (also reachable via appSuite()).
 stream::StreamProgram buildRender(vlsi::MachineSize size,
                                   const srf::SrfModel &srf);

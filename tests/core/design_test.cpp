@@ -58,15 +58,5 @@ TEST(DesignTest, KernelThroughputScalesWithClusters)
     EXPECT_NEAR(t64 / t8, 8.0, 0.01);
 }
 
-TEST(DesignTest, SimulateRunsViaFacade)
-{
-    StreamProcessorDesign d({8, 5});
-    sim::StreamProcessor proc = d.makeProcessor();
-    stream::StreamProgram prog =
-        workloads::buildConvApp(d.size(), proc.srf());
-    sim::SimResult r = d.simulate(prog);
-    EXPECT_GT(r.cycles, 0);
-}
-
 } // namespace
 } // namespace sps::core

@@ -1,8 +1,9 @@
 // Pins the deterministic work of one cold figure suite (the run
 // bench_headline times): compiles, schedule-cache lookups, kernel
 // fingerprints, simulations, and the summed simulated cycles and DRAM
-// counters of the Figure-15 grid. A change that makes the suite do
-// more work, or that moves a modeled count, fails here.
+// counters of the Figure-15 grid, and the two headline app speedups
+// read off that grid. A change that makes the suite do more work, or
+// that moves a modeled count, fails here.
 #include "figure_suite.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +68,14 @@ TEST(FigureSuiteCountsTest, ColdSuiteDoesExactlyThePinnedWork)
     EXPECT_EQ(hits, 27858321);
     EXPECT_EQ(conflicts, 53765);
     EXPECT_EQ(reorder, 638048);
+
+    // The headline app speedups read this grid: no further sims.
+    EXPECT_DOUBLE_EQ(core::harmonicMeanSpeedup(run.fig15, {128, 5}),
+                     7.4260798951187983);
+    EXPECT_DOUBLE_EQ(core::harmonicMeanSpeedup(run.fig15, {128, 10}),
+                     8.785366712071097);
+    EXPECT_EQ(service.counters().computed, 120u)
+        << "the headline must not simulate";
 }
 
 } // namespace

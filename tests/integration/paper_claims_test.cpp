@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.h"
 #include "core/experiments.h"
+#include "svc/eval_service.h"
 
 namespace sps::core {
 namespace {
@@ -22,8 +22,9 @@ class AppPerformanceFixture : public ::testing::Test
     static void
     SetUpTestSuite()
     {
+        svc::EvalService service;
         points_ = new std::vector<AppPoint>(
-            appPerformance({8, 32, 128}, {5, 10}));
+            service.appPerformance({8, 32, 128}, {5, 10}));
     }
 
     static void
@@ -117,19 +118,11 @@ TEST_F(AppPerformanceFixture, HarmonicMeanNearPaper)
 {
     // Paper: 10.4x harmonic-mean app speedup at C=128 N=10 (and 8.0x
     // at C=128 N=5 for the 640-ALU machine).
-    std::vector<double> sp;
-    for (const char *app :
-         {"RENDER", "DEPTH", "CONV", "QRD", "FFT1K", "FFT4K"})
-        sp.push_back(speedup(app, 128, 10));
-    double hm = harmonicMean(sp);
+    double hm = harmonicMeanSpeedup(*points_, {128, 10});
     EXPECT_GT(hm, 6.0);
     EXPECT_LT(hm, 15.0);
 
-    std::vector<double> sp640;
-    for (const char *app :
-         {"RENDER", "DEPTH", "CONV", "QRD", "FFT1K", "FFT4K"})
-        sp640.push_back(speedup(app, 128, 5));
-    double hm640 = harmonicMean(sp640);
+    double hm640 = harmonicMeanSpeedup(*points_, {128, 5});
     EXPECT_GT(hm640, 4.0);
     EXPECT_LT(hm640, 12.0);
     EXPECT_LT(hm640, hm);
@@ -156,7 +149,7 @@ TEST(PaperClaimsTest, Headline640AluMachine)
     // GOPS on kernels and providing 15.3x of kernel speedup ... with
     // a 2% degradation in area per ALU and a 7% degradation in energy
     // dissipated per ALU operation."
-    Headline h = headlineNumbers(/*include_apps=*/false);
+    Headline h = headlineNumbers();
     EXPECT_GT(h.kernelGops640, 300.0);
     EXPECT_NEAR(h.kernelSpeedup640, 15.3, 3.0);
     EXPECT_NEAR(h.areaPerAluDegradation640, 0.02, 0.015);
@@ -167,7 +160,7 @@ TEST(PaperClaimsTest, KernelSpeedup1280InBand)
 {
     // "A C=128 N=10 processor achieves a speedup of 27.9x ... on the
     // harmonic mean of 6 kernels."
-    Headline h = headlineNumbers(/*include_apps=*/false);
+    Headline h = headlineNumbers();
     EXPECT_GT(h.kernelSpeedup1280, 20.0);
     EXPECT_LT(h.kernelSpeedup1280, 36.0);
 }

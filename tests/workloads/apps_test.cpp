@@ -26,22 +26,18 @@ class AppGridTest
 TEST_P(AppGridTest, BuildsAndRunsWithinSrfCapacity)
 {
     auto [name, c, n] = GetParam();
-    for (const auto &app : appSuite()) {
-        if (app.name != name)
-            continue;
-        sim::StreamProcessor proc = processorFor(c, n);
-        stream::StreamProgram prog =
-            app.build(vlsi::MachineSize{c, n}, proc.srf());
-        EXPECT_FALSE(prog.ops().empty());
-        sim::SimResult r = proc.run(prog);
-        EXPECT_GT(r.cycles, 0);
-        EXPECT_GT(r.gopsOps, 0.0);
-        // Strip-mining must keep the working set inside the SRF.
-        EXPECT_LE(r.srfHighWater, proc.srf().capacityWords)
-            << name << " C=" << c << " N=" << n;
-        return;
-    }
-    FAIL() << "unknown app " << name;
+    const AppEntry *app = findApp(name);
+    ASSERT_NE(app, nullptr) << "unknown app " << name;
+    sim::StreamProcessor proc = processorFor(c, n);
+    stream::StreamProgram prog =
+        app->build(vlsi::MachineSize{c, n}, proc.srf());
+    EXPECT_FALSE(prog.ops().empty());
+    sim::SimResult r = proc.run(prog);
+    EXPECT_GT(r.cycles, 0);
+    EXPECT_GT(r.gopsOps, 0.0);
+    // Strip-mining must keep the working set inside the SRF.
+    EXPECT_LE(r.srfHighWater, proc.srf().capacityWords)
+        << name << " C=" << c << " N=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -62,6 +58,18 @@ TEST(AppsTest, SuiteHasSixApplications)
     ASSERT_EQ(apps.size(), 6u);
     EXPECT_EQ(apps[0].name, "RENDER");
     EXPECT_EQ(apps[5].name, "FFT4K");
+}
+
+TEST(AppsTest, FindAppLooksUpBySuiteName)
+{
+    for (const auto &app : appSuite()) {
+        const AppEntry *found = findApp(app.name);
+        ASSERT_NE(found, nullptr) << app.name;
+        EXPECT_EQ(found->name, app.name);
+        // One static suite: every lookup hands out the same entry.
+        EXPECT_EQ(findApp(app.name), found);
+    }
+    EXPECT_EQ(findApp("NOSUCHAPP"), nullptr);
 }
 
 TEST(AppsTest, ProgramsHaveValidDependences)
